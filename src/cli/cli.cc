@@ -1,5 +1,6 @@
 #include "cli/cli.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -216,12 +217,62 @@ struct Flags {
   }
 };
 
-bool IsSwitch(const std::string& flag) {
-  return flag == "dot" || flag == "timeline" || flag == "rcsi" ||
-         flag == "explain" || flag == "json" || flag == "adapt" ||
-         flag == "no-constraints" || flag == "promote";
-}
-// Note: --pin and --atmost take values and are not switches.
+constexpr CliFlag kFlags[] = {
+    // Common flags.
+    {"txns", true},
+    {"workload", true},
+    {"alloc", true},
+    {"default", true},
+    {"schedule", true},
+    {"dot", false},
+    {"timeline", false},
+    {"rcsi", false},
+    {"explain", false},
+    {"pin", true},
+    {"atmost", true},
+    {"max", true},
+    {"templates", true},
+    {"json", false},
+    {"runs", true},
+    {"concurrency", true},
+    {"engine-threads", true},
+    {"engine-shards", true},
+    {"seed", true},
+    {"witness-json", true},
+    {"witness-dot", true},
+    {"record-schedule", true},
+    {"record-trace", true},
+    {"threads", true},
+    {"stats-json", true},
+    {"trace-out", true},
+    {"trace-sample", true},
+    {"metrics-interval", true},
+    {"log-level", true},
+    {"profile-hz", true},
+    {"profile-out", true},
+    // promote.
+    {"budget", true},
+    {"target", true},
+    {"promotion-json", true},
+    {"validate-runs", true},
+    {"weight-si", true},
+    {"weight-ssi", true},
+    // templates.
+    {"no-constraints", false},
+    {"copies", true},
+    {"max-instances", true},
+    {"promote", false},
+    // serve.
+    {"port", true},
+    {"host", true},
+    {"port-file", true},
+    {"witness-interval", true},
+    {"duration", true},
+    {"window", true},
+    {"adapt", false},
+    {"adapt-interval", true},
+    {"adapt-budget", true},
+};
 
 StatusOr<Flags> ParseFlags(const std::vector<std::string>& args,
                            size_t start) {
@@ -232,7 +283,14 @@ StatusOr<Flags> ParseFlags(const std::vector<std::string>& args,
           StrCat("unexpected argument '", args[i], "'"));
     }
     std::string name = args[i].substr(2);
-    if (IsSwitch(name)) {
+    const CliFlag* flag =
+        std::find_if(std::begin(kFlags), std::end(kFlags),
+                     [&](const CliFlag& known) { return name == known.name; });
+    if (flag == std::end(kFlags)) {
+      return Status::InvalidArgument(
+          StrCat("unknown flag --", name, " (see mvrob --help)"));
+    }
+    if (!flag->takes_value) {
       flags.values[name] = "1";
       continue;
     }
@@ -1326,6 +1384,8 @@ int Dispatch(const std::string& command, const Flags& flags, std::istream& in,
 }
 
 }  // namespace
+
+std::span<const CliFlag> CliFlags() { return kFlags; }
 
 int RunCli(const std::vector<std::string>& args, std::ostream& out,
            std::ostream& err) {

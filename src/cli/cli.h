@@ -3,10 +3,22 @@
 
 #include <istream>
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
 namespace mvrob {
+
+/// One command-line flag: its name without the leading "--", and whether a
+/// value follows it (false for boolean switches).
+struct CliFlag {
+  const char* name;
+  bool takes_value;
+};
+
+/// Every flag RunCli accepts, in `mvrob --help` order. Any other --flag is
+/// an error.
+std::span<const CliFlag> CliFlags();
 
 /// Entry point of the `mvrob` command-line tool, exposed as a library so
 /// tests can drive it. `args` excludes the program name. Returns the

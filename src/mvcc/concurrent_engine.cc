@@ -9,7 +9,6 @@
 #include "common/string_util.h"
 #include "common/watchdog.h"
 #include "mvcc/recorder.h"
-#include "mvcc/ssi_tracker.h"
 #include "mvcc/txn_trace.h"
 
 namespace mvrob {
@@ -17,8 +16,6 @@ namespace {
 
 /// Published-snapshot slot value while a worker has no snapshot pinned.
 constexpr Timestamp kNoSnapshot = ~Timestamp{0};
-/// Prune the committed-SSI registry whenever it grows past this.
-constexpr size_t kSsiPruneThreshold = 128;
 
 }  // namespace
 
@@ -72,6 +69,7 @@ ConcurrentEngine::ConcurrentEngine(size_t num_objects, size_t num_workers,
     m_gc_reclaimed_ = &metrics->counter("mvcc.gc.reclaimed");
     m_gc_epochs_ = &metrics->counter("mvcc.gc.epochs");
     m_gc_horizon_ = &metrics->gauge("mvcc.gc.horizon");
+    m_ssi_graph_size_ = &metrics->gauge("mvcc.ssi.graph_size");
     for (size_t s = 0; s < num_shards_; ++s) {
       shards_[s].m_versions =
           &metrics->gauge(StrCat("mvcc.shard.versions{shard=", s, "}"));
@@ -327,16 +325,13 @@ CommitResult ConcurrentEngine::Commit(size_t worker) {
     std::unique_lock<std::mutex> commit_lock(commit_mu_);
     Timestamp ts = clock_.load(std::memory_order_relaxed) + 1;
     uint64_t commit_step = ts << 32;
+    // The registry is only mutated under the commit mutex, so the
+    // attribution is filled in before unlocking.
+    SsiConflictDetail detail;
     if (record.level == IsolationLevel::kSSI &&
-        SsiTracker::WouldCompleteDangerousStructure(ssi_committed_, slot.id,
-                                                    record, ts, commit_step)) {
-      // The registry is only mutated under the commit mutex, so the detail
-      // scan must run before unlocking.
-      SsiConflictDetail detail;
-      if (options_.tracer != nullptr) {
-        detail = SsiTracker::FindDangerousStructureDetail(
-            ssi_committed_, slot.id, record, ts, commit_step);
-      }
+        ssi_.WouldCompleteDangerousStructure(
+            SsiMember{slot.id, &record}, ts, commit_step,
+            options_.tracer != nullptr ? &detail : nullptr)) {
       commit_lock.unlock();
       if (options_.tracer != nullptr) {
         ConflictAttribution attribution;
@@ -373,9 +368,18 @@ CommitResult ConcurrentEngine::Commit(size_t worker) {
     // versions in the chains.
     clock_.store(ts, std::memory_order_seq_cst);
     if (record.level == IsolationLevel::kSSI) {
-      ssi_committed_.emplace_back(slot.id, &record);
-      if (ssi_committed_.size() >= kSsiPruneThreshold) {
-        PruneSsiRegistryLocked();
+      // Every active and future SSI session takes its first step key
+      // from a clock at or above its worker's published snapshot, or
+      // the current clock when none is published yet.
+      Timestamp min_ts = ts;
+      for (size_t w = 0; w < num_workers_; ++w) {
+        if (w == worker) continue;
+        min_ts = std::min(
+            min_ts, workers_[w].snapshot.load(std::memory_order_seq_cst));
+      }
+      ssi_.Add(SsiMember{slot.id, &record}, min_ts << 32);
+      if (m_ssi_graph_size_ != nullptr) {
+        m_ssi_graph_size_->Set(static_cast<int64_t>(ssi_.size()));
       }
     }
     commit_lock.unlock();
@@ -517,53 +521,6 @@ size_t ConcurrentEngine::RunEpochGc() {
   }
   gc_running_.store(false, std::memory_order_seq_cst);
   return reclaimed;
-}
-
-void ConcurrentEngine::PruneSsiRegistryLocked() {
-  // An entry can still join a dangerous structure only through a chain of
-  // Concurrent() links reaching a session whose first step is >= m — the
-  // lower bound on every active and future first step. Concurrent() is
-  // interval overlap of [first_step, commit_step), so merge entries into
-  // overlap components and drop every component that ends at or below m.
-  Timestamp min_ts = clock_.load(std::memory_order_seq_cst);
-  for (size_t w = 0; w < num_workers_; ++w) {
-    min_ts =
-        std::min(min_ts, workers_[w].snapshot.load(std::memory_order_seq_cst));
-  }
-  uint64_t m = min_ts << 32;
-
-  std::vector<std::pair<SessionId, const SessionRecord*>> kept;
-  kept.reserve(ssi_committed_.size());
-  std::sort(ssi_committed_.begin(), ssi_committed_.end(),
-            [](const auto& a, const auto& b) {
-              return a.second->first_step < b.second->first_step;
-            });
-  size_t component_begin = 0;
-  uint64_t component_end = 0;
-  auto flush = [&](size_t component_limit) {
-    if (component_end > m) {
-      for (size_t i = component_begin; i < component_limit; ++i) {
-        kept.push_back(ssi_committed_[i]);
-      }
-    }
-  };
-  for (size_t i = 0; i < ssi_committed_.size(); ++i) {
-    const SessionRecord* record = ssi_committed_[i].second;
-    // first_step == 0 (a committed SSI session with no operations) is
-    // never concurrent with anything; drop it outright.
-    if (record->first_step == 0) {
-      if (component_begin == i) ++component_begin;
-      continue;
-    }
-    if (i > component_begin && record->first_step >= component_end) {
-      flush(i);
-      component_begin = i;
-      component_end = 0;
-    }
-    component_end = std::max(component_end, record->commit_step);
-  }
-  flush(ssi_committed_.size());
-  ssi_committed_ = std::move(kept);
 }
 
 std::vector<SessionRecord> ConcurrentEngine::SessionSnapshot() const {

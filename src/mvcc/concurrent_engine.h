@@ -26,11 +26,6 @@ struct ConcurrentEngineOptions {
   /// index and has one latch guarding its version chains and row locks.
   /// 0 picks a default (4x the worker count, at least 16).
   size_t num_shards = 0;
-  /// SSI detection. The conservative pivot check reads *active* sessions
-  /// and is only sound single-threaded, so the concurrent engine always
-  /// runs the exact Definition 2.4 check over committed SSI sessions;
-  /// kConservative is accepted and silently upgraded to kExact.
-  SsiMode ssi_mode = SsiMode::kExact;
   /// Writer commits per garbage-collection epoch. When a worker's commit
   /// crosses an epoch boundary it reclaims every version no published
   /// snapshot can observe (the concurrent replacement for the driver's
@@ -40,7 +35,8 @@ struct ConcurrentEngineOptions {
   /// mvcc.* families this exports per-shard telemetry
   /// (mvcc.shard.versions{shard=K}, mvcc.shard.lock_wait_us{shard=K}) and
   /// the epoch-GC series (mvcc.gc.reclaimed, mvcc.gc.epochs,
-  /// mvcc.gc.horizon). Null disables all instrumentation.
+  /// mvcc.gc.horizon), and the SSI registry size after each SSI commit
+  /// (mvcc.ssi.graph_size). Null disables all instrumentation.
   MetricsRegistry* metrics = nullptr;
   /// Optional schedule recorder. Event appends are serialized on an
   /// internal mutex (sessions still execute concurrently); the log
@@ -63,7 +59,9 @@ struct ConcurrentEngineOptions {
 /// The many-core MVCC engine: the same Postgres-modeled semantics as
 /// `Engine` (buffered writes installed at commit, row locks against dirty
 /// writes, first-updater-wins for SI/SSI, exact Definition 2.4 SSI
-/// checks), executed by `num_workers` threads in parallel.
+/// checks), executed by `num_workers` threads in parallel. SSI always runs
+/// the exact check: the conservative pivot check reads active sessions,
+/// which only the single-threaded engine can do race-free.
 ///
 /// Concurrency design:
 ///
@@ -95,8 +93,8 @@ struct ConcurrentEngineOptions {
 ///    horizon, logging a structured mvcc.gc line per reclamation.
 ///
 /// Sessions live in a deque (stable addresses); committed SSI records are
-/// published into a registry under the commit mutex and are immutable
-/// afterwards, which keeps the exact SSI check race-free.
+/// published into the SSI registry under the commit mutex and are
+/// immutable afterwards, which keeps the exact SSI check race-free.
 ///
 /// Each worker index executes at most one session at a time (Begin
 /// retires the worker's previous session handle). Total operations per
@@ -176,10 +174,6 @@ class ConcurrentEngine {
   void AbortInternal(WorkerSlot& slot, AbortReason reason);
   void ReleaseRowLocks(const SessionRecord& record, SessionId id);
   void RecordEvent(const EngineEvent& event);
-  /// Drops committed-SSI registry entries that can no longer join a
-  /// dangerous structure with any active or future session. Caller holds
-  /// commit_mu_.
-  void PruneSsiRegistryLocked();
 
   ConcurrentEngineOptions options_;
   size_t num_workers_;
@@ -200,7 +194,7 @@ class ConcurrentEngine {
   std::mutex commit_mu_;
   /// Committed SSI sessions still relevant for dangerous structures;
   /// guarded by commit_mu_.
-  std::vector<std::pair<SessionId, const SessionRecord*>> ssi_committed_;
+  SsiRegistry ssi_;
 
   std::atomic<uint64_t> writer_commits_{0};
   std::atomic<bool> gc_running_{false};
@@ -222,6 +216,7 @@ class ConcurrentEngine {
   Counter* m_gc_reclaimed_ = nullptr;
   Counter* m_gc_epochs_ = nullptr;
   Gauge* m_gc_horizon_ = nullptr;
+  Gauge* m_ssi_graph_size_ = nullptr;
 };
 
 }  // namespace mvrob

@@ -5,7 +5,6 @@
 
 #include "common/metrics.h"
 #include "mvcc/recorder.h"
-#include "mvcc/ssi_tracker.h"
 #include "mvcc/txn_trace.h"
 
 namespace mvrob {
@@ -22,6 +21,7 @@ Engine::Engine(size_t num_objects, EngineOptions options)
     m_aborts_user_ = &metrics->counter("mvcc.aborts.user");
     m_blocked_steps_ = &metrics->counter("mvcc.blocked_steps");
     m_ssi_false_positives_ = &metrics->counter("mvcc.ssi_false_positives");
+    m_ssi_graph_size_ = &metrics->gauge("mvcc.ssi.graph_size");
     m_version_chain_len_ = &metrics->histogram("mvcc.version_chain_len");
   }
 }
@@ -37,6 +37,7 @@ SessionId Engine::Begin(IsolationLevel level) {
   ++stats_.begins;
   if (m_begins_ != nullptr) m_begins_->Increment();
   SessionId id = static_cast<SessionId>(sessions_.size() - 1);
+  active_.push_back(id);
   if (options_.recorder != nullptr) {
     EngineEvent event;
     event.kind = EngineEventKind::kBegin;
@@ -169,25 +170,38 @@ CommitResult Engine::Commit(SessionId session) {
   assert(record.state == TxnState::kActive);
   CommitResult result;
 
-  bool ssi_abort =
-      record.level == IsolationLevel::kSSI &&
-      (options_.ssi_mode == SsiMode::kExact
-           ? SsiTracker::WouldCompleteDangerousStructure(
-                 sessions_, session, clock_ + 1, step_ + 1)
-           : SsiTracker::WouldCreatePivot(sessions_, session, clock_ + 1,
-                                          step_ + 1));
-  if (ssi_abort) {
-    // Conservative abort the exact check disagrees with = false positive.
-    // Only evaluated when someone is watching; the verdict is unchanged.
-    if (m_ssi_false_positives_ != nullptr &&
-        options_.ssi_mode == SsiMode::kConservative &&
-        !SsiTracker::WouldCompleteDangerousStructure(sessions_, session,
-                                                     clock_ + 1, step_ + 1)) {
-      m_ssi_false_positives_->Increment();
+  const SsiMember candidate{session, &record};
+  SsiConflictDetail detail;
+  bool ssi_abort = false;
+  if (record.level == IsolationLevel::kSSI) {
+    if (options_.ssi_mode == SsiMode::kExact) {
+      ssi_abort = ssi_.WouldCompleteDangerousStructure(
+          candidate, clock_ + 1, step_ + 1,
+          options_.tracer != nullptr ? &detail : nullptr);
+    } else {
+      std::vector<SsiMember> active;
+      for (SessionId id : active_) {
+        if (sessions_[id].level == IsolationLevel::kSSI) {
+          active.push_back(SsiMember{id, &sessions_[id]});
+        }
+      }
+      ssi_abort =
+          ssi_.WouldCreatePivot(active, candidate, clock_ + 1, step_ + 1);
+      if (ssi_abort &&
+          (m_ssi_false_positives_ != nullptr || options_.tracer != nullptr)) {
+        // Conservative abort the exact check disagrees with = false
+        // positive. Only evaluated when someone is watching; the verdict
+        // is unchanged.
+        const bool exact = ssi_.WouldCompleteDangerousStructure(
+            candidate, clock_ + 1, step_ + 1, &detail);
+        if (!exact && m_ssi_false_positives_ != nullptr) {
+          m_ssi_false_positives_->Increment();
+        }
+      }
     }
+  }
+  if (ssi_abort) {
     if (options_.tracer != nullptr) {
-      const SsiConflictDetail detail = SsiTracker::FindDangerousStructureDetail(
-          sessions_, session, clock_ + 1, step_ + 1);
       ConflictAttribution attribution;
       attribution.conflicting_session = detail.peer;
       attribution.object = detail.object;
@@ -214,6 +228,13 @@ CommitResult Engine::Commit(SessionId session) {
       m_version_chain_len_->Observe(store_.ChainOf(object).size());
     }
   }
+  RemoveActive(session);
+  if (record.level == IsolationLevel::kSSI) {
+    ssi_.Add(candidate, SsiHorizon());
+    if (m_ssi_graph_size_ != nullptr) {
+      m_ssi_graph_size_->Set(static_cast<int64_t>(ssi_.size()));
+    }
+  }
   ++stats_.commits;
   if (m_commits_ != nullptr) m_commits_->Increment();
   result.commit_ts = commit_ts;
@@ -236,13 +257,31 @@ size_t Engine::Vacuum() {
   // RC sessions always read the newest committed version, so only snapshot
   // sessions pin history.
   Timestamp horizon = clock_;
-  for (const SessionRecord& record : sessions_) {
-    if (record.state == TxnState::kActive &&
-        record.level != IsolationLevel::kRC) {
-      horizon = std::min(horizon, record.snapshot_ts);
+  for (SessionId id : active_) {
+    if (sessions_[id].level != IsolationLevel::kRC) {
+      horizon = std::min(horizon, sessions_[id].snapshot_ts);
     }
   }
   return store_.Vacuum(horizon);
+}
+
+void Engine::RemoveActive(SessionId session) {
+  auto it = std::find(active_.begin(), active_.end(), session);
+  assert(it != active_.end());
+  *it = active_.back();
+  active_.pop_back();
+}
+
+uint64_t Engine::SsiHorizon() const {
+  // A session's first operation is a later step than every step so far.
+  uint64_t horizon = step_ + 1;
+  for (SessionId id : active_) {
+    const SessionRecord& record = sessions_[id];
+    if (record.level == IsolationLevel::kSSI && record.first_step != 0) {
+      horizon = std::min(horizon, record.first_step);
+    }
+  }
+  return horizon;
 }
 
 void Engine::AbortInternal(SessionId session, AbortReason reason) {
@@ -250,6 +289,7 @@ void Engine::AbortInternal(SessionId session, AbortReason reason) {
   assert(record.state == TxnState::kActive);
   record.state = TxnState::kAborted;
   record.abort_reason = reason;
+  RemoveActive(session);
   for (const auto& [object, value] : record.write_buffer) {
     (void)value;
     auto lock = row_locks_.find(object);

@@ -1,16 +1,19 @@
 #ifndef MVROB_MVCC_ENGINE_H_
 #define MVROB_MVCC_ENGINE_H_
 
+#include <deque>
 #include <map>
 #include <optional>
 #include <vector>
 
 #include "iso/isolation_level.h"
+#include "mvcc/ssi_tracker.h"
 #include "mvcc/version_store.h"
 
 namespace mvrob {
 
 class Counter;
+class Gauge;
 class Histogram;
 class MetricsRegistry;
 class ScheduleRecorder;
@@ -92,7 +95,7 @@ struct SessionWriteRecord {
 };
 
 /// Everything the engine knows about one session; exposed (const) to the
-/// SSI tracker and the trace exporter.
+/// SSI registry and the trace exporter.
 struct SessionRecord {
   IsolationLevel level = IsolationLevel::kRC;
   TxnState state = TxnState::kActive;
@@ -123,9 +126,10 @@ enum class SsiMode : uint8_t {
 struct EngineOptions {
   SsiMode ssi_mode = SsiMode::kExact;
   /// Optional observability sink (common/metrics.h). Null disables all
-  /// instrumentation. With kConservative SSI mode and a sink attached, the
-  /// engine additionally runs the exact Definition 2.4 check on every
-  /// conservative abort and counts the disagreements as
+  /// instrumentation. The gauge mvcc.ssi.graph_size holds the SSI
+  /// registry's size after each SSI commit. With kConservative SSI mode and
+  /// a sink attached, the engine additionally runs the exact Definition 2.4
+  /// check on every conservative abort and counts the disagreements as
   /// mvcc.ssi_false_positives (conservative aborts the exact check would
   /// not have taken).
   MetricsRegistry* metrics = nullptr;
@@ -169,6 +173,9 @@ class Engine {
  public:
   explicit Engine(size_t num_objects, EngineOptions options = {});
 
+  Engine(const Engine&) = delete;
+  Engine& operator=(const Engine&) = delete;
+
   /// Starts a session at `level`. The snapshot is taken at Begin.
   SessionId Begin(IsolationLevel level);
 
@@ -185,7 +192,8 @@ class Engine {
   void Abort(SessionId session);
 
   /// Garbage-collects versions unreachable by every active snapshot
-  /// (VACUUM). Safe to call at any time; returns versions dropped.
+  /// (VACUUM). Safe to call at any time; returns versions dropped. Costs
+  /// O(active sessions + versions), not O(sessions ever begun).
   size_t Vacuum();
 
   const SessionRecord& session(SessionId id) const { return sessions_[id]; }
@@ -197,6 +205,10 @@ class Engine {
 
  private:
   void AbortInternal(SessionId session, AbortReason reason);
+  /// Drops a committed or aborted session from active_.
+  void RemoveActive(SessionId session);
+  /// Lower bound on the first step of every active and future SSI session.
+  uint64_t SsiHorizon() const;
 
   EngineOptions options_;
   // Metric handles resolved once at construction (one relaxed atomic add
@@ -210,9 +222,15 @@ class Engine {
   Counter* m_aborts_user_ = nullptr;
   Counter* m_blocked_steps_ = nullptr;
   Counter* m_ssi_false_positives_ = nullptr;
+  Gauge* m_ssi_graph_size_ = nullptr;
   Histogram* m_version_chain_len_ = nullptr;
   VersionStore store_;
-  std::vector<SessionRecord> sessions_;
+  /// Every session ever begun, indexed by id; the deque keeps record
+  /// addresses stable for the SSI registry.
+  std::deque<SessionRecord> sessions_;
+  /// Sessions begun and not yet committed or aborted.
+  std::vector<SessionId> active_;
+  SsiRegistry ssi_;
   /// Row locks: object -> active writing session.
   std::map<ObjectId, SessionId> row_locks_;
   Timestamp clock_ = 0;

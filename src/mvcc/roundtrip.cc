@@ -80,7 +80,6 @@ StatusOr<RoundTripReport> ValidateEngineRuns(const TransactionSet& txns,
     if (concurrent) {
       ConcurrentEngineOptions engine_options;
       engine_options.num_shards = options.engine_shards;
-      engine_options.ssi_mode = options.ssi_mode;
       engine_options.recorder = &recorder;
       // Surfaces the per-shard/GC series for `mvrob validate
       // --engine-shards`; attaching metrics never changes a run.
@@ -92,7 +91,6 @@ StatusOr<RoundTripReport> ValidateEngineRuns(const TransactionSet& txns,
       RunConcurrent(*concurrent_engine, txns, alloc, run_options);
     } else {
       EngineOptions engine_options;
-      engine_options.ssi_mode = options.ssi_mode;
       engine_options.recorder = &recorder;
       engine.emplace(txns.num_objects(), engine_options);
       RunRandom(*engine, txns, alloc, run_options);

@@ -30,7 +30,6 @@ struct RoundTripOptions {
   /// Key-space shards for the many-core engine (0 = auto); ignored when
   /// engine_threads == 1.
   size_t engine_shards = 0;
-  SsiMode ssi_mode = SsiMode::kExact;
   size_t recorder_capacity = ScheduleRecorder::kDefaultCapacity;
   /// Knobs for the robustness verdict computed once up front.
   CheckOptions check;

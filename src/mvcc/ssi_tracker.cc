@@ -2,16 +2,23 @@
 
 #include <algorithm>
 
+#include "mvcc/engine.h"
+
 namespace mvrob {
 namespace {
 
-// View of a session with the candidate's hypothetical commit applied.
+// A session with its (possibly hypothetical) commit applied.
 struct MemberView {
   SessionId id = kInvalidSessionId;
   const SessionRecord* record = nullptr;
   Timestamp commit_ts = 0;
   uint64_t commit_step = 0;
 };
+
+MemberView Committed(const SsiMember& member) {
+  return MemberView{member.id, member.record, member.record->commit_ts,
+                    member.record->commit_step};
+}
 
 bool Concurrent(const MemberView& a, const MemberView& b) {
   if (a.record->first_step == 0 || b.record->first_step == 0) return false;
@@ -54,174 +61,108 @@ bool PotentialRwAntiEdge(const MemberView& a, const MemberView& b) {
   return false;
 }
 
-// A structure completed by this commit involves the candidate (the commit
-// is the last event of the three transactions), but scanning all triples
-// keeps the check simple and exact; the early concurrency filters keep it
-// cheap in practice.
-bool DangerousStructureAmong(const std::vector<MemberView>& members,
-                             SessionId candidate,
-                             SsiConflictDetail* detail = nullptr) {
-  for (const MemberView& t1 : members) {
-    for (const MemberView& t2 : members) {
-      if (t2.id == t1.id || !Concurrent(t1, t2)) continue;
-      if (!(t2.commit_ts > 0) || !RwAntiEdge(t1, t2)) continue;
-      for (const MemberView& t3 : members) {
-        if (t3.id == t2.id || !Concurrent(t2, t3)) continue;
-        if (t1.id != candidate && t2.id != candidate && t3.id != candidate) {
-          continue;
-        }
-        // Commit-order conditions: C3 <= C1 (equality iff T3 = T1) and
-        // C3 < C2.
-        bool c3_le_c1 = t3.id == t1.id || t3.commit_ts < t1.commit_ts;
-        if (!c3_le_c1 || !(t3.commit_ts < t2.commit_ts)) continue;
-        if (RwAntiEdge(t2, t3)) {
-          if (detail != nullptr) {
-            // Attribute the rw edge adjacent to the candidate: its peer on
-            // that edge and the edge's object/version.
-            detail->found = true;
-            if (candidate == t2.id) {
-              detail->peer = t1.id;
-              RwAntiEdge(t1, t2, &detail->object, &detail->version_ts);
-            } else if (candidate == t1.id) {
-              detail->peer = t2.id;
-              RwAntiEdge(t1, t2, &detail->object, &detail->version_ts);
-            } else {
-              detail->peer = t2.id;
-              RwAntiEdge(t2, t3, &detail->object, &detail->version_ts);
-            }
-          }
+}  // namespace
+
+bool SsiRegistry::WouldCompleteDangerousStructure(
+    const SsiMember& candidate, Timestamp commit_ts, uint64_t commit_step,
+    SsiConflictDetail* detail) const {
+  // A structure completed by this commit contains the candidate, and the
+  // candidate commits last, so C3 < C2 rules it out as T3: it is T2 or
+  // T1. Scanning the T2 case first, each over entries in commit order,
+  // finds the structure a t1 x t2 x t3 scan over [entries..., candidate]
+  // would find first.
+  const MemberView c{candidate.id, candidate.record, commit_ts, commit_step};
+  auto refuse = [detail](const MemberView& peer, const MemberView& reader,
+                         const MemberView& writer) {
+    if (detail != nullptr) {
+      detail->found = true;
+      detail->peer = peer.id;
+      RwAntiEdge(reader, writer, &detail->object, &detail->version_ts);
+    }
+    return true;
+  };
+  // T1 -> C -> T3 with C3 <= C1 (equality iff T3 = T1).
+  for (const SsiMember& m1 : entries_) {
+    const MemberView t1 = Committed(m1);
+    if (!Concurrent(t1, c) || !RwAntiEdge(t1, c)) continue;
+    for (const SsiMember& m3 : entries_) {
+      const MemberView t3 = Committed(m3);
+      if (t3.id != t1.id && !(t3.commit_ts < t1.commit_ts)) continue;
+      if (Concurrent(c, t3) && RwAntiEdge(c, t3)) return refuse(t1, t1, c);
+    }
+  }
+  // C -> T2 -> T3 with C3 < C2.
+  for (const SsiMember& m2 : entries_) {
+    const MemberView t2 = Committed(m2);
+    if (!Concurrent(c, t2) || !RwAntiEdge(c, t2)) continue;
+    for (const SsiMember& m3 : entries_) {
+      const MemberView t3 = Committed(m3);
+      if (!(t3.commit_ts < t2.commit_ts)) continue;
+      if (Concurrent(t2, t3) && RwAntiEdge(t2, t3)) return refuse(t2, c, t2);
+    }
+  }
+  return false;
+}
+
+bool SsiRegistry::WouldCreatePivot(const std::vector<SsiMember>& active,
+                                   const SsiMember& candidate,
+                                   Timestamp commit_ts,
+                                   uint64_t commit_step) const {
+  constexpr Timestamp kInfTs = ~Timestamp{0};
+  constexpr uint64_t kInfStep = ~uint64_t{0};
+  std::vector<MemberView> members;
+  members.reserve(entries_.size() + active.size() + 1);
+  for (const SsiMember& entry : entries_) members.push_back(Committed(entry));
+  for (const SsiMember& session : active) {
+    if (session.id == candidate.id) continue;
+    members.push_back(MemberView{session.id, session.record, kInfTs, kInfStep});
+  }
+  members.push_back(
+      MemberView{candidate.id, candidate.record, commit_ts, commit_step});
+  const MemberView& c = members.back();
+  // The candidate is the pivot, or an end of pivot x's in or out edge.
+  for (const MemberView& x : members) {
+    if (x.id == c.id || !Concurrent(x, c)) continue;
+    const bool into_c = PotentialRwAntiEdge(x, c);
+    const bool out_of_c = PotentialRwAntiEdge(c, x);
+    if (into_c) {
+      // x -> C -> y.
+      for (const MemberView& y : members) {
+        if (y.id != c.id && Concurrent(c, y) && PotentialRwAntiEdge(c, y)) {
           return true;
         }
       }
     }
-  }
-  return false;
-}
-
-}  // namespace
-
-bool SsiTracker::WouldCompleteDangerousStructure(
-    const std::vector<SessionRecord>& sessions, SessionId candidate,
-    Timestamp candidate_commit_ts, uint64_t candidate_commit_step) {
-  // Member pool: committed SSI sessions plus the hypothetically committed
-  // candidate.
-  std::vector<MemberView> members;
-  for (SessionId id = 0; id < sessions.size(); ++id) {
-    const SessionRecord& record = sessions[id];
-    if (record.level != IsolationLevel::kSSI) continue;
-    if (id == candidate) {
-      members.push_back(
-          MemberView{id, &record, candidate_commit_ts, candidate_commit_step});
-    } else if (record.state == TxnState::kCommitted) {
-      members.push_back(
-          MemberView{id, &record, record.commit_ts, record.commit_step});
-    }
-  }
-  return DangerousStructureAmong(members, candidate);
-}
-
-bool SsiTracker::WouldCompleteDangerousStructure(
-    const std::vector<std::pair<SessionId, const SessionRecord*>>& committed,
-    SessionId candidate_id, const SessionRecord& candidate_record,
-    Timestamp candidate_commit_ts, uint64_t candidate_commit_step) {
-  std::vector<MemberView> members;
-  members.reserve(committed.size() + 1);
-  for (const auto& [id, record] : committed) {
-    members.push_back(
-        MemberView{id, record, record->commit_ts, record->commit_step});
-  }
-  members.push_back(MemberView{candidate_id, &candidate_record,
-                               candidate_commit_ts, candidate_commit_step});
-  return DangerousStructureAmong(members, candidate_id);
-}
-
-namespace {
-
-// Shared member-pool construction for the dense-session overload.
-std::vector<MemberView> CommittedSsiMembers(
-    const std::vector<SessionRecord>& sessions, SessionId candidate,
-    Timestamp candidate_commit_ts, uint64_t candidate_commit_step) {
-  std::vector<MemberView> members;
-  for (SessionId id = 0; id < sessions.size(); ++id) {
-    const SessionRecord& record = sessions[id];
-    if (record.level != IsolationLevel::kSSI) continue;
-    if (id == candidate) {
-      members.push_back(
-          MemberView{id, &record, candidate_commit_ts, candidate_commit_step});
-    } else if (record.state == TxnState::kCommitted) {
-      members.push_back(
-          MemberView{id, &record, record.commit_ts, record.commit_step});
-    }
-  }
-  return members;
-}
-
-}  // namespace
-
-SsiConflictDetail SsiTracker::FindDangerousStructureDetail(
-    const std::vector<SessionRecord>& sessions, SessionId candidate,
-    Timestamp candidate_commit_ts, uint64_t candidate_commit_step) {
-  SsiConflictDetail detail;
-  DangerousStructureAmong(
-      CommittedSsiMembers(sessions, candidate, candidate_commit_ts,
-                          candidate_commit_step),
-      candidate, &detail);
-  return detail;
-}
-
-SsiConflictDetail SsiTracker::FindDangerousStructureDetail(
-    const std::vector<std::pair<SessionId, const SessionRecord*>>& committed,
-    SessionId candidate_id, const SessionRecord& candidate_record,
-    Timestamp candidate_commit_ts, uint64_t candidate_commit_step) {
-  std::vector<MemberView> members;
-  members.reserve(committed.size() + 1);
-  for (const auto& [id, record] : committed) {
-    members.push_back(
-        MemberView{id, record, record->commit_ts, record->commit_step});
-  }
-  members.push_back(MemberView{candidate_id, &candidate_record,
-                               candidate_commit_ts, candidate_commit_step});
-  SsiConflictDetail detail;
-  DangerousStructureAmong(members, candidate_id, &detail);
-  return detail;
-}
-
-bool SsiTracker::WouldCreatePivot(const std::vector<SessionRecord>& sessions,
-                                  SessionId candidate,
-                                  Timestamp candidate_commit_ts,
-                                  uint64_t candidate_commit_step) {
-  constexpr Timestamp kInfTs = ~Timestamp{0};
-  constexpr uint64_t kInfStep = ~uint64_t{0};
-  std::vector<MemberView> members;
-  for (SessionId id = 0; id < sessions.size(); ++id) {
-    const SessionRecord& record = sessions[id];
-    if (record.level != IsolationLevel::kSSI) continue;
-    if (id == candidate) {
-      members.push_back(
-          MemberView{id, &record, candidate_commit_ts, candidate_commit_step});
-    } else if (record.state == TxnState::kCommitted) {
-      members.push_back(
-          MemberView{id, &record, record.commit_ts, record.commit_step});
-    } else if (record.state == TxnState::kActive) {
-      members.push_back(MemberView{id, &record, kInfTs, kInfStep});
-    }
-  }
-  for (const MemberView& pivot : members) {
-    for (const MemberView& in : members) {
-      if (in.id == pivot.id || !Concurrent(in, pivot)) continue;
-      if (!PotentialRwAntiEdge(in, pivot)) continue;
-      for (const MemberView& out : members) {
-        if (out.id == pivot.id || !Concurrent(pivot, out)) continue;
-        if (pivot.id != candidate && in.id != candidate &&
-            out.id != candidate) {
-          continue;
-        }
-        if (PotentialRwAntiEdge(pivot, out)) return true;
+    if (!into_c && !out_of_c) continue;
+    // C -> x -> y or y -> x -> C.
+    for (const MemberView& y : members) {
+      if (y.id == x.id || !Concurrent(x, y)) continue;
+      if ((out_of_c && PotentialRwAntiEdge(x, y)) ||
+          (into_c && PotentialRwAntiEdge(y, x))) {
+        return true;
       }
     }
   }
   return false;
 }
 
-}  // namespace mvrob
+void SsiRegistry::Add(const SsiMember& committed, uint64_t horizon) {
+  // A session without operations is concurrent with nothing.
+  if (committed.record->first_step != 0) entries_.push_back(committed);
+  // Concurrent() is overlap of [first_step, commit_step). A session n
+  // starting at or after `horizon` overlaps only entries committing after
+  // it; a structure containing n reaches one hop further, through an
+  // entry f that overlaps n, to entries committing after f's first step.
+  // Everything committing at or before both bounds is unreachable.
+  uint64_t bound = horizon;
+  for (const SsiMember& f : entries_) {
+    if (f.record->commit_step > horizon) {
+      bound = std::min(bound, f.record->first_step);
+    }
+  }
+  std::erase_if(entries_, [bound](const SsiMember& e) {
+    return e.record->commit_step <= bound;
+  });
+}
 
+}  // namespace mvrob

@@ -1,23 +1,15 @@
 #ifndef MVROB_MVCC_SSI_TRACKER_H_
 #define MVROB_MVCC_SSI_TRACKER_H_
 
-#include <utility>
+#include <cstdint>
 #include <vector>
 
-#include "mvcc/engine.h"
+#include "mvcc/version_store.h"
 
 namespace mvrob {
 
-/// Exact dangerous-structure detection for the engine's SSI sessions.
-///
-/// Postgres' SSI implementation tracks rw-antidependencies conservatively
-/// (per-transaction in/out flags) and may abort on false positives. This
-/// simulator instead evaluates the *exact* condition of Definition 2.4 at
-/// each SSI commit: committing is refused iff it would complete a dangerous
-/// structure T1 -> T2 -> T3 among committed SSI sessions (including the
-/// commit-order optimization C3 <= C1, C3 < C2). Exactness matters for the
-/// conformance tests: every committed trace must map to a formal schedule
-/// allowed under the session allocation — no more, no less.
+struct SessionRecord;
+
 /// Attribution of an SSI abort: the session on the other side of an
 /// rw-antidependency adjacent to the aborting candidate in the dangerous
 /// structure that refused the commit, and the object carrying that edge.
@@ -32,49 +24,64 @@ struct SsiConflictDetail {
   bool found = false;
 };
 
-class SsiTracker {
+/// A session taking part in an SSI check: its id and its record. Registry
+/// entries are committed and immutable; active members (conservative
+/// mode) may still grow after the check returns.
+struct SsiMember {
+  SessionId id = kInvalidSessionId;
+  const SessionRecord* record = nullptr;
+};
+
+/// The committed SSI sessions that can still join a dangerous structure,
+/// and the commit tests run against them. Both engines own one.
+///
+/// Postgres' SSI implementation tracks rw-antidependencies conservatively
+/// (per-transaction in/out flags) and may abort on false positives. The
+/// exact check instead evaluates the condition of Definition 2.4: a commit
+/// is refused iff it would complete a dangerous structure T1 -> T2 -> T3
+/// among committed SSI sessions (including the commit-order optimization
+/// C3 <= C1, C3 < C2). Exactness matters for the conformance tests: every
+/// committed trace must map to a formal schedule allowed under the session
+/// allocation — no more, no less.
+///
+/// Entries are retired as soon as no active or future session can reach
+/// them within two Concurrent() hops, the longest path in a structure, so
+/// retirement never changes a verdict and the registry stays as small as
+/// the true overlap between sessions.
+class SsiRegistry {
  public:
   /// True iff committing `candidate` (with the given hypothetical commit
-  /// timestamp and step) completes a dangerous structure whose other
-  /// members are already-committed SSI sessions.
-  static bool WouldCompleteDangerousStructure(
-      const std::vector<SessionRecord>& sessions, SessionId candidate,
-      Timestamp candidate_commit_ts, uint64_t candidate_commit_step);
-
-  /// The same exact check against an explicit registry of
-  /// already-committed SSI sessions — the concurrent engine's, which
-  /// cannot hand out a dense session vector — with the (active) candidate
-  /// supplied out of line. The referenced records must not change while
-  /// the check runs; the concurrent engine guarantees this by publishing
-  /// registry entries only after commit under its commit mutex.
-  static bool WouldCompleteDangerousStructure(
-      const std::vector<std::pair<SessionId, const SessionRecord*>>& committed,
-      SessionId candidate_id, const SessionRecord& candidate_record,
-      Timestamp candidate_commit_ts, uint64_t candidate_commit_step);
-
-  /// Attribution companions to the two exact checks above, for the trace
-  /// layer: re-run the search and report the rw-edge neighbor of the
-  /// candidate in the first dangerous structure found. Engines call these
-  /// only on the (rare) abort path of a traced run, so the extra scan is
-  /// pay-for-what-you-sample.
-  static SsiConflictDetail FindDangerousStructureDetail(
-      const std::vector<SessionRecord>& sessions, SessionId candidate,
-      Timestamp candidate_commit_ts, uint64_t candidate_commit_step);
-  static SsiConflictDetail FindDangerousStructureDetail(
-      const std::vector<std::pair<SessionId, const SessionRecord*>>& committed,
-      SessionId candidate_id, const SessionRecord& candidate_record,
-      Timestamp candidate_commit_ts, uint64_t candidate_commit_step);
+  /// timestamp and step, both later than every entry's) completes a
+  /// dangerous structure whose other members are registry entries. With a
+  /// non-null `detail`, a refusal also reports the rw-edge neighbor of the
+  /// candidate in the first structure found.
+  bool WouldCompleteDangerousStructure(
+      const SsiMember& candidate, Timestamp commit_ts, uint64_t commit_step,
+      SsiConflictDetail* detail = nullptr) const;
 
   /// Conservative flag check (SsiMode::kConservative): true iff, treating
-  /// `candidate` as committed, some SSI session (committed, active, or the
-  /// candidate) would be a pivot — an incoming and an outgoing
-  /// rw-antidependency between concurrent SSI sessions — regardless of
-  /// commit order. A superset of the exact condition: everything the exact
-  /// check aborts is also aborted here, plus false positives.
-  static bool WouldCreatePivot(const std::vector<SessionRecord>& sessions,
-                               SessionId candidate,
-                               Timestamp candidate_commit_ts,
-                               uint64_t candidate_commit_step);
+  /// `candidate` as committed, some SSI session — an entry, one of the
+  /// still-`active` SSI sessions, or the candidate — would be a pivot with
+  /// an incoming and an outgoing rw-antidependency between concurrent SSI
+  /// sessions, regardless of commit order. A superset of the exact
+  /// condition: everything the exact check aborts is also aborted here,
+  /// plus false positives.
+  bool WouldCreatePivot(const std::vector<SsiMember>& active,
+                        const SsiMember& candidate, Timestamp commit_ts,
+                        uint64_t commit_step) const;
+
+  /// Registers a just-committed SSI session, whose record must stay at the
+  /// same address and unchanged while it is registered, then retires every
+  /// entry no active or future session can reach. `horizon` is a lower
+  /// bound on the first step of every active and future SSI session; 0
+  /// retires nothing.
+  void Add(const SsiMember& committed, uint64_t horizon);
+
+  size_t size() const { return entries_.size(); }
+
+ private:
+  /// In commit order.
+  std::vector<SsiMember> entries_;
 };
 
 }  // namespace mvrob

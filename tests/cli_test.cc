@@ -5,6 +5,8 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <regex>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -272,6 +274,32 @@ TEST(CliTest, RejectsMalformedNumericFlags) {
     EXPECT_NE(result.err.find(c.needle), std::string::npos)
         << Join(c.args, " ") << " stderr: " << result.err;
   }
+}
+
+TEST(CliTest, RejectsUnknownFlags) {
+  // A typo must fail and name the flag, not run with the default.
+  CliResult typo = RunTool(
+      {"simulate", "--txns", kWriteSkew, "--engine-thread", "4"});
+  EXPECT_EQ(typo.code, 1);
+  EXPECT_NE(typo.err.find("unknown flag --engine-thread"), std::string::npos)
+      << typo.err;
+  EXPECT_TRUE(typo.out.empty()) << typo.out;
+}
+
+TEST(CliTest, FlagTableMatchesHelp) {
+  const std::string help = RunTool({"help"}).out;
+  std::set<std::string> in_help;
+  const std::regex flag_re("--[a-z][a-z0-9-]*");
+  for (auto it = std::sregex_iterator(help.begin(), help.end(), flag_re);
+       it != std::sregex_iterator(); ++it) {
+    in_help.insert(it->str());
+  }
+  std::set<std::string> in_table;
+  for (const CliFlag& flag : CliFlags()) {
+    EXPECT_TRUE(in_table.insert(StrCat("--", flag.name)).second)
+        << "duplicate flag --" << flag.name;
+  }
+  EXPECT_EQ(in_help, in_table);
 }
 
 TEST(CliTest, StatsJsonAndTraceOutAreWritten) {

@@ -7,6 +7,7 @@
 // MVROB_SANITIZE=thread CI stage.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 
@@ -16,6 +17,7 @@
 #include "mvcc/concurrent_driver.h"
 #include "mvcc/concurrent_engine.h"
 #include "mvcc/roundtrip.h"
+#include "mvcc/ssi_tracker.h"
 #include "mvcc/txn_trace.h"
 #include "workloads/registry.h"
 
@@ -415,6 +417,63 @@ TEST(ConcurrentTracingTest, WorkersRecordAttributedSpansRaceFree) {
   EXPECT_TRUE(named);
   const std::string status = tracer.StatusJson();
   EXPECT_NE(status.find("\"version\":1"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// SSI registry: retirement under real concurrency never admits a commit
+// the unretired check refuses.
+
+// Replays the committed SSI sessions of a finished run in commit order
+// against an unretired registry (every session added with horizon 0) and
+// counts those it refuses; `checked` receives the number replayed.
+uint64_t UnretiredRefusals(const ConcurrentEngine& engine,
+                           uint64_t* checked) {
+  const std::vector<SessionRecord> sessions = engine.SessionSnapshot();
+  std::vector<SessionId> committed;
+  for (SessionId id = 0; id < sessions.size(); ++id) {
+    if (sessions[id].level == IsolationLevel::kSSI &&
+        sessions[id].state == TxnState::kCommitted) {
+      committed.push_back(id);
+    }
+  }
+  std::sort(committed.begin(), committed.end(),
+            [&](SessionId a, SessionId b) {
+              return sessions[a].commit_ts < sessions[b].commit_ts;
+            });
+  SsiRegistry unretired;
+  uint64_t refusals = 0;
+  for (SessionId id : committed) {
+    const SsiMember member{id, &sessions[id]};
+    if (unretired.WouldCompleteDangerousStructure(
+            member, sessions[id].commit_ts, sessions[id].commit_step)) {
+      ++refusals;
+    }
+    unretired.Add(member, /*horizon=*/0);
+  }
+  *checked = committed.size();
+  return refusals;
+}
+
+TEST(ConcurrentSsiRegistryTest, CommittedSessionsPassTheUnretiredCheck) {
+  const char* specs[] = {"synthetic:n=24,o=8,w=50,h=60,hot=2,ops=4,seed=1",
+                         "smallbank:c=4", "tpcc:w=1,d=2"};
+  for (size_t workers : {size_t{1}, kWorkers}) {
+    for (const char* spec : specs) {
+      StatusOr<Workload> workload = MakeNamedWorkload(spec);
+      ASSERT_TRUE(workload.ok()) << workload.status().ToString();
+      ConcurrentEngine engine(workload->txns.num_objects(), workers);
+      RandomRunOptions run_options;
+      run_options.seed = 21;
+      run_options.continuous = true;
+      run_options.max_steps = 8'000;
+      RunConcurrent(engine, workload->txns,
+                    Allocation::AllSSI(workload->txns.size()), run_options);
+      uint64_t checked = 0;
+      EXPECT_EQ(UnretiredRefusals(engine, &checked), 0u)
+          << spec << " at " << workers << " workers";
+      EXPECT_GT(checked, 100u) << spec << " at " << workers << " workers";
+    }
+  }
 }
 
 TEST(ConcurrentStressTest, StopFlagHaltsContinuousRun) {

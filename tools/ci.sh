@@ -363,7 +363,8 @@ fi
 rm -f "$PROFILE_PORT_FILE" "$PROFILE_SERVE_OUT" "$PROFILE_FOLDED" "$PROFILE_SVG"
 
 echo "==== numeric-flag rejection smoke ===="
-for bad in "census --max abc" "simulate --runs 12x" "simulate --seed -1"; do
+for bad in "census --max abc" "simulate --runs 12x" "simulate --seed -1" \
+    "simulate --engine-thread 4"; do
   if build/tools/mvrob $bad --workload tpcc:w=2,d=2 >/dev/null 2>&1; then
     echo "error: 'mvrob $bad' should have failed" >&2
     exit 1
@@ -496,14 +497,20 @@ echo "==== many-core scaling bench gate ===="
 # thread counts above the core count is scheduling-noise-dominated
 # (8 workers time-slicing one core swing >2x run to run), and the curve
 # shape is what the speedup assertion checks.
+# The whole sweep runs under a wall-clock timeout: a pathological row must
+# fail the gate, never hang CI.
 SCALING_THRESHOLD=4.0
+SCALING_TIMEOUT_S=600
 SCALING_BASELINE="bench/baselines/BENCH_mvcc_scaling.baseline.json"
 FRESH_SCALING="$(mktemp)"
-build/bench/bench_mvcc_scaling \
+timeout "$SCALING_TIMEOUT_S" build/bench/bench_mvcc_scaling \
   --benchmark_format=json \
   --benchmark_out_format=json \
   --benchmark_out="$FRESH_SCALING" \
-  --benchmark_min_time=0.1 >/dev/null
+  --benchmark_min_time=0.1 >/dev/null || {
+  echo "error: bench_mvcc_scaling failed or exceeded ${SCALING_TIMEOUT_S}s" >&2
+  exit 1
+}
 SPEEDUP_ARGS=()
 if [[ "$(nproc)" -ge 8 ]]; then
   SPEEDUP_ARGS=(--min-speedup 'BM_MvccScaling/RC_low=3.0')
