@@ -191,6 +191,7 @@ bool AdaptController::DecideOnce(std::chrono::steady_clock::time_point now) {
   // base workload + the optimum.
   const OptimalAllocationResult base_opt =
       ComputeOptimalAllocation(base_, options_.check);
+  if (base_opt.cancelled) return false;
 
   TransactionSet chosen_txns = base_;
   Allocation chosen_alloc = base_opt.allocation;

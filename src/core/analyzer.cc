@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
 #include <memory>
 
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "common/watchdog.h"
-#include "core/mixed_iso_graph.h"
 #include "txn/conflict.h"
 
 namespace mvrob {
@@ -178,25 +178,92 @@ ConstBitSpan RobustnessAnalyzer::RcCandidatesFor(TxnId t1, int k) const {
   return slots.back().second.span();
 }
 
+std::optional<std::vector<TxnId>> RobustnessAnalyzer::InnerChain(
+    TxnId t1, TxnId t2, TxnId tm) const {
+  if (t2 == tm || conflict_.Test(t2, tm)) return std::vector<TxnId>{};
+  const size_t n = txns_.size();
+  // Unvisited nodes of mixed-iso-graph(t1, T \ {t1, t2, tm}).
+  DenseBitset unvisited(n);
+  unvisited.SetAll();
+  unvisited.AndNotWith(conflict_.row(t1));
+  unvisited.Reset(t1);
+  unvisited.Reset(t2);
+  unvisited.Reset(tm);
+  // The BFS queue doubles as the parent forest: each entry names the queue
+  // index of its discoverer (kSource for the nodes conflicting with t2).
+  constexpr size_t kSource = std::numeric_limits<size_t>::max();
+  struct Visit {
+    TxnId node;
+    size_t parent;
+  };
+  std::vector<Visit> queue;
+  DenseBitset fresh(n);
+  auto discover = [&](ConstBitSpan row, size_t parent) {
+    fresh.CopyFrom(row);
+    fresh.AndWith(unvisited);
+    unvisited.AndNotWith(fresh);
+    fresh.ForEachSetBit([&](size_t x) {
+      queue.push_back(Visit{static_cast<TxnId>(x), parent});
+    });
+  };
+  discover(conflict_.row(t2), kSource);
+  for (size_t head = 0; head < queue.size(); ++head) {
+    if (conflict_.Test(queue[head].node, tm)) {
+      std::vector<TxnId> chain;
+      for (size_t at = head; at != kSource; at = queue[at].parent) {
+        chain.push_back(queue[at].node);
+      }
+      std::reverse(chain.begin(), chain.end());
+      return chain;
+    }
+    discover(conflict_.row(queue[head].node), head);
+  }
+  return std::nullopt;
+}
+
+namespace {
+
+// CheckRow's scratch rows, one set per thread and reused across rows;
+// every use overwrites a row before reading it.
+struct RowScratch {
+  DenseBitset pair_mask;
+  DenseBitset ssi_rw_in;
+  DenseBitset ssi_rw_out;
+  DenseBitset tm_mask;
+
+  void Fit(size_t n) {
+    if (pair_mask.size() == n) return;
+    for (DenseBitset* row : {&pair_mask, &ssi_rw_in, &ssi_rw_out, &tm_mask}) {
+      row->Resize(n);
+    }
+  }
+};
+
+}  // namespace
+
 std::optional<CounterexampleChain> RobustnessAnalyzer::CheckRow(
-    const Allocation& alloc, ConstBitSpan ssi_mask, TxnId t1,
-    const std::atomic<uint32_t>* best, const std::atomic<bool>* cancel,
-    uint64_t* words_scanned) const {
+    const RowScan& scan, TxnId t1, uint64_t* words_scanned) const {
   const size_t n = txns_.size();
   const uint64_t words_per_row = (n + 63) / 64;
   uint64_t mask_ops = 0;  // Word-wise row operations; flushed on return.
+  const Allocation& alloc = scan.alloc;
+  ConstBitSpan ssi_mask = scan.ssi_mask;
   bool t1_rc = alloc.level(t1) == IsolationLevel::kRC;
   bool s1 = ssi_mask.Test(t1);
+  thread_local RowScratch scratch;
+  scratch.Fit(n);
+  DenseBitset& pair_mask = scratch.pair_mask;
+  DenseBitset& ssi_rw_out = scratch.ssi_rw_out;
+  DenseBitset& tm_mask = scratch.tm_mask;
 
   // T2 candidates: b1 exists (rw row), the T2-side ww constraint of
   // Definition 3.1 (2)/(3), and — under double SSI — condition (7).
-  DenseBitset pair_mask(n);
   pair_mask.CopyFrom(rw_.row(t1));
   pair_mask.AndWith(t1_rc ? rw_before_ww_.row(t1) : ww_never_.row(t1));
   mask_ops += 2;
-  DenseBitset ssi_rw_out(n);  // Condition (8)'s exclusion: SSI Tm read by T1.
   if (s1) {
-    DenseBitset ssi_rw_in(n);
+    // Condition (8)'s exclusion: SSI Tm read by T1.
+    DenseBitset& ssi_rw_in = scratch.ssi_rw_in;
     ssi_rw_in.CopyFrom(ssi_mask);
     ssi_rw_in.AndWith(rw_into_.row(t1));
     pair_mask.AndNotWith(ssi_rw_in);
@@ -204,15 +271,28 @@ std::optional<CounterexampleChain> RobustnessAnalyzer::CheckRow(
     ssi_rw_out.AndWith(rw_.row(t1));
     mask_ops += 5;
   }
+  // Under a delta focus that misses t1, a triple can only be new when t2
+  // or tm is in the focus. Every Tm candidate of the row lies in t1's
+  // conflict row (si_candidates_ for SI/SSI t1), so when that meets no
+  // focus member only the pairs with t2 in the focus remain.
+  const DenseBitset* narrow =
+      scan.focus != nullptr && !scan.focus->Test(t1) ? scan.focus : nullptr;
+  if (narrow != nullptr &&
+      !narrow->Intersects(t1_rc ? conflict_.row(t1)
+                                : si_candidates_.row(t1))) {
+    pair_mask.AndWith(*narrow);
+    mask_ops += 2;
+  }
 
-  DenseBitset tm_mask(n);
   for (size_t t2 = pair_mask.FindFirst(); t2 < n;
        t2 = pair_mask.FindNext(t2 + 1)) {
-    if (best != nullptr && t1 >= best->load(std::memory_order_relaxed)) {
+    if (scan.best != nullptr &&
+        t1 >= scan.best->load(std::memory_order_relaxed)) {
       if (words_scanned != nullptr) *words_scanned += mask_ops * words_per_row;
       return std::nullopt;  // A lower row already holds a witness.
     }
-    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
+    if (scan.cancel != nullptr &&
+        scan.cancel->load(std::memory_order_relaxed)) {
       if (words_scanned != nullptr) *words_scanned += mask_ops * words_per_row;
       return std::nullopt;  // Caller marks the result cancelled.
     }
@@ -225,6 +305,10 @@ std::optional<CounterexampleChain> RobustnessAnalyzer::CheckRow(
       tm_mask.CopyFrom(si_candidates_.row(t1));
     }
     ++mask_ops;
+    if (narrow != nullptr && !narrow->Test(t2)) {
+      tm_mask.AndWith(*narrow);
+      ++mask_ops;
+    }
     if (s1) {
       tm_mask.AndNotWith(ssi_rw_out);
       ++mask_ops;
@@ -238,17 +322,16 @@ std::optional<CounterexampleChain> RobustnessAnalyzer::CheckRow(
       if (!Reachable(t1, static_cast<TxnId>(t2), static_cast<TxnId>(tm))) {
         continue;
       }
-      // Witness recovery with the reference operation search.
+      // Witness recovery: the reference operation search, then the inner
+      // chain over the bit rows.
+      PhaseTimer recovery(scan.metrics, "analyzer.witness_recovery");
       CounterexampleChain chain;
       bool found = internal::FindChainOperations(
           txns_, alloc, t1, static_cast<TxnId>(t2), static_cast<TxnId>(tm),
           &chain);
       if (!found) continue;  // Defensive; the indices guarantee success.
-      MixedIsoGraph graph(txns_, t1,
-                          {static_cast<TxnId>(t2), static_cast<TxnId>(tm)},
-                          &conflict_);
-      std::optional<std::vector<TxnId>> inner = graph.FindInnerChain(
-          static_cast<TxnId>(t2), static_cast<TxnId>(tm));
+      std::optional<std::vector<TxnId>> inner =
+          InnerChain(t1, static_cast<TxnId>(t2), static_cast<TxnId>(tm));
       if (!inner.has_value()) continue;
       chain.inner = std::move(inner).value();
       if (words_scanned != nullptr) *words_scanned += mask_ops * words_per_row;
@@ -263,13 +346,67 @@ RobustnessResult RobustnessAnalyzer::Check(const Allocation& alloc) const {
   return Check(alloc, CheckOptions{});
 }
 
+RobustnessResult RobustnessAnalyzer::Check(const Allocation& alloc,
+                                           const CheckOptions& options) const {
+  return Scan(alloc, nullptr, options);
+}
+
+RobustnessResult RobustnessAnalyzer::CheckDelta(
+    const Allocation& base, const Allocation& candidate,
+    const CheckOptions& options) const {
+  DenseBitset changed(txns_.size());
+  for (TxnId t = 0; t < txns_.size(); ++t) {
+    if (base.level(t) != candidate.level(t)) changed.Set(t);
+  }
+  return Scan(candidate, &changed, options);
+}
+
 namespace {
 
+// The triples of the canonical scan order (RobustnessResult::
+// triples_examined) with a member in `focus`, up to and including the
+// witness, or all of them when there is none: what a delta check covers.
+uint64_t FocusTriples(const DenseBitset& focus,
+                      const std::optional<CounterexampleChain>& witness) {
+  const size_t n = focus.size();
+  const uint64_t m = n - 1;
+  const uint64_t c = focus.Count();
+  // A row whose t1 is outside the focus misses the (m - c)^2 triples with
+  // neither t2 nor tm in it.
+  auto row = [&](TxnId t1) {
+    return focus.Test(t1) ? m * m : m * m - (m - c) * (m - c);
+  };
+  const TxnId rows = witness.has_value() ? witness->t1 : n;
+  uint64_t count = 0;
+  for (TxnId t1 = 0; t1 < rows; ++t1) count += row(t1);
+  if (!witness.has_value()) return count;
+  const TxnId t1 = witness->t1;
+  const bool row_in = focus.Test(t1);
+  for (TxnId t2 = 0; t2 < witness->t2; ++t2) {
+    if (t2 == t1) continue;
+    count += row_in || focus.Test(t2) ? m : c;
+  }
+  const bool pair_in = row_in || focus.Test(witness->t2);
+  for (TxnId tm = 0; tm <= witness->tm; ++tm) {
+    if (tm != t1 && (pair_in || focus.Test(tm))) ++count;
+  }
+  return count;
+}
+
 void RecordCheckMetrics(MetricsRegistry* metrics,
-                        const RobustnessResult& result, uint64_t words_scanned,
+                        const RobustnessResult& result,
+                        const DenseBitset* focus, uint64_t words_scanned,
                         uint64_t rows_scanned) {
   metrics->counter("analyzer.checks").Increment();
-  metrics->counter("analyzer.triples_examined").Add(result.triples_examined);
+  if (focus == nullptr) {
+    metrics->counter("analyzer.triples_examined").Add(result.triples_examined);
+  } else {
+    metrics->counter("analyzer.delta_checks").Increment();
+    if (!result.cancelled) {
+      metrics->counter("analyzer.delta_triples_examined")
+          .Add(FocusTriples(*focus, result.counterexample));
+    }
+  }
   metrics->counter("analyzer.bitset_words_scanned").Add(words_scanned);
   metrics->counter("analyzer.rows_scanned").Add(rows_scanned);
   if (result.cancelled) {
@@ -281,14 +418,20 @@ void RecordCheckMetrics(MetricsRegistry* metrics,
 
 }  // namespace
 
-RobustnessResult RobustnessAnalyzer::Check(const Allocation& alloc,
-                                           const CheckOptions& options) const {
+RobustnessResult RobustnessAnalyzer::Scan(const Allocation& alloc,
+                                          const DenseBitset* focus,
+                                          const CheckOptions& options) const {
   MetricsRegistry* metrics =
       options.metrics != nullptr ? options.metrics : metrics_;
   RobustnessResult result;
   const size_t n = txns_.size();
   if (n < 2) {
-    if (metrics != nullptr) metrics->counter("analyzer.checks").Increment();
+    if (metrics != nullptr) {
+      metrics->counter("analyzer.checks").Increment();
+      if (focus != nullptr) {
+        metrics->counter("analyzer.delta_checks").Increment();
+      }
+    }
     return result;
   }
   PhaseTimer scan_timer(metrics, "analyzer.triple_scan");
@@ -302,8 +445,18 @@ RobustnessResult RobustnessAnalyzer::Check(const Allocation& alloc,
   for (TxnId t = 0; t < n; ++t) {
     if (alloc.level(t) == IsolationLevel::kSSI) ssi_mask.Set(t);
   }
-
+  const RowScan scan{alloc, ssi_mask, focus, nullptr, options.cancel, metrics};
+  // A triple through a focus member t has t1 = t or t1 conflicting with t
+  // (its t2 and tm candidates lie in t1's conflict row), so a delta scan
+  // skips every other row.
   uint64_t words_scanned = 0;
+  DenseBitset reach;
+  if (focus != nullptr) {
+    reach = *focus;
+    focus->ForEachSetBit([&](size_t t) { reach.OrWith(conflict_.row(t)); });
+    words_scanned = (focus->Count() + 1) * reach.num_words();
+  }
+  auto skip = [&](size_t t1) { return focus != nullptr && !reach.Test(t1); };
   uint64_t rows_scanned = 0;
   const std::atomic<bool>* cancel = options.cancel;
   auto cancelled = [cancel] {
@@ -312,9 +465,9 @@ RobustnessResult RobustnessAnalyzer::Check(const Allocation& alloc,
   const int threads = ThreadPool::ResolveThreads(options.num_threads);
   if (threads <= 1) {
     for (TxnId t1 = 0; t1 < n && !cancelled(); ++t1) {
+      if (skip(t1)) continue;
       std::optional<CounterexampleChain> chain = CheckRow(
-          alloc, ssi_mask, t1, nullptr, cancel,
-          metrics != nullptr ? &words_scanned : nullptr);
+          scan, t1, metrics != nullptr ? &words_scanned : nullptr);
       ++rows_scanned;
       watch.Heartbeat();
       if (chain.has_value()) {
@@ -334,7 +487,7 @@ RobustnessResult RobustnessAnalyzer::Check(const Allocation& alloc,
     }
     if (metrics != nullptr) {
       metrics->histogram("analyzer.rows_per_thread").Observe(rows_scanned);
-      RecordCheckMetrics(metrics, result, words_scanned, rows_scanned);
+      RecordCheckMetrics(metrics, result, focus, words_scanned, rows_scanned);
     }
     return result;
   }
@@ -354,20 +507,22 @@ RobustnessResult RobustnessAnalyzer::Check(const Allocation& alloc,
   };
   static_assert(sizeof(RowSlot) == 64);
   std::unique_ptr<std::array<RowSlot, 64>> slots;
-  std::atomic<uint64_t> words_total{0};
+  std::atomic<uint64_t> words_total{words_scanned};
   const bool instrumented = metrics != nullptr;
   if (instrumented) slots = std::make_unique<std::array<RowSlot, 64>>();
 
   std::atomic<uint32_t> best{static_cast<uint32_t>(n)};
+  RowScan parallel_scan = scan;
+  parallel_scan.best = &best;
   std::vector<std::optional<CounterexampleChain>> rows(n);
   ThreadPool::Shared().ParallelFor(
       n, threads,
       [&](size_t i) {
         if (i >= best.load(std::memory_order_acquire)) return;
-        if (cancelled()) return;
+        if (skip(i) || cancelled()) return;
         uint64_t row_words = 0;
         std::optional<CounterexampleChain> chain =
-            CheckRow(alloc, ssi_mask, static_cast<TxnId>(i), &best, cancel,
+            CheckRow(parallel_scan, static_cast<TxnId>(i),
                      instrumented ? &row_words : nullptr);
         watch.Heartbeat();
         if (instrumented) {
@@ -406,7 +561,7 @@ RobustnessResult RobustnessAnalyzer::Check(const Allocation& alloc,
       balance.Observe(per_thread);
       rows_scanned += per_thread;
     }
-    RecordCheckMetrics(metrics, result,
+    RecordCheckMetrics(metrics, result, focus,
                        words_total.load(std::memory_order_relaxed),
                        rows_scanned);
   }

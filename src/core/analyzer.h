@@ -32,12 +32,28 @@ namespace mvrob {
 ///    they are allocation-independent), which turn reachability into a
 ///    word-wise component-bitmask intersection.
 ///
+/// Witness recovery stays on the same bit rows: the inner chain is a BFS
+/// over conflict_ rows restricted to T \ {T1, T2, Tm} minus T1's conflict
+/// row, visiting nodes in MixedIsoGraph::FindInnerChain's order (sources
+/// ascending, FIFO, neighbours ascending, first discoverer as parent), so
+/// the chain is identical without building adjacency lists or components.
+///
+/// Algorithm 2 and its variants lower one transaction at a time from a
+/// robust allocation. A triple's verdict depends only on the levels of
+/// T1, T2 and Tm, so every witness against such a candidate contains a
+/// changed transaction. CheckDelta scans only those triples: rows whose
+/// T1 changed in full, rows whose T1 conflicts with a changed transaction
+/// only at a changed T2 or Tm, and no other row. It runs through the same
+/// row scan as Check (cancel, watchdog, heartbeats, the lowest-witness
+/// reduction) and returns exactly Check's result.
+///
 /// The payoff is twofold: a single decision drops from the reference
 /// checker's per-triple operation loops to a handful of word operations
 /// per (T1, T2) pair, and Algorithm 2 (2·|T| robustness checks over the
-/// *same* set) reuses every cache. Results — verdict, lowest
-/// counterexample triple, and the audited triples_examined — are
-/// bit-identical to CheckRobustness (property-tested).
+/// *same* set) reuses every cache and checks only what each candidate
+/// changed. Results — verdict, lowest counterexample chain, and the
+/// audited triples_examined — are bit-identical to CheckRobustness
+/// (property-tested).
 ///
 /// Thread safety: Check(alloc, options) with options.num_threads != 1
 /// partitions the t1 rows over a thread pool; the lazy per-t1 caches are
@@ -71,12 +87,18 @@ class RobustnessAnalyzer {
   RobustnessResult Check(const Allocation& alloc,
                          const CheckOptions& options) const;
 
-  const TransactionSet& txns() const { return txns_; }
+  /// Algorithm 1 for `candidate`, given that `base` (same size) is robust.
+  /// Only triples with a member whose level differs between the two are
+  /// scanned; the result (verdict, counterexample, triples_examined,
+  /// cancelled) equals Check(candidate, options). Metrics count it in
+  /// analyzer.checks and analyzer.delta_checks, with the triples it covers
+  /// in analyzer.delta_triples_examined (not in the audited
+  /// analyzer.triples_examined, which counts full checks only).
+  RobustnessResult CheckDelta(const Allocation& base,
+                              const Allocation& candidate,
+                              const CheckOptions& options = {}) const;
 
-  /// The pairwise conflict matrix (symmetric, zero diagonal); equals
-  /// BuildConflictMatrix(txns()). Shared with MixedIsoGraph during
-  /// witness recovery so conflict tests stay O(1).
-  const BitMatrix& conflict_matrix() const { return conflict_; }
+  const TransactionSet& txns() const { return txns_; }
 
  private:
   static constexpr int kNever = std::numeric_limits<int>::max();
@@ -98,17 +120,38 @@ class RobustnessAnalyzer {
   /// independent given (t1, k), so cached across Algorithm 2's checks.
   ConstBitSpan RcCandidatesFor(TxnId t1, int k) const;
 
+  // What every row of one Check / CheckDelta call shares.
+  struct RowScan {
+    const Allocation& alloc;
+    ConstBitSpan ssi_mask;
+    // Delta focus: null scans every triple; otherwise rows with t1 in the
+    // set are scanned in full and other rows only at a t2 or tm in it.
+    const DenseBitset* focus;
+    // Lowest t1 known to hold a witness (parallel scans only), or null.
+    const std::atomic<uint32_t>* best;
+    const std::atomic<bool>* cancel;
+    MetricsRegistry* metrics;  // Witness-recovery timer; may be null.
+  };
+
+  /// The row loops shared by Check and CheckDelta (focus as in RowScan).
+  RobustnessResult Scan(const Allocation& alloc, const DenseBitset* focus,
+                        const CheckOptions& options) const;
+
   /// Scans one t1 row: returns the lowest-(t2, tm) witness chain of the
-  /// row, or nullopt. When `best` is non-null the scan abandons early
-  /// once a lower t1 row is known to have a witness; when `cancel` is
+  /// row, or nullopt. When scan.best is non-null the scan abandons early
+  /// once a lower t1 row is known to have a witness; when scan.cancel is
   /// non-null and raised, the scan abandons at the next t2 boundary
-  /// (Check maps this to a cancelled result). When `words_scanned` is
+  /// (Scan maps this to a cancelled result). When `words_scanned` is
   /// non-null, the number of 64-bit words touched by the row's word-wise
   /// mask operations is accumulated into it.
-  std::optional<CounterexampleChain> CheckRow(
-      const Allocation& alloc, ConstBitSpan ssi_mask, TxnId t1,
-      const std::atomic<uint32_t>* best, const std::atomic<bool>* cancel,
-      uint64_t* words_scanned) const;
+  std::optional<CounterexampleChain> CheckRow(const RowScan& scan, TxnId t1,
+                                              uint64_t* words_scanned) const;
+
+  /// The inner chain of Definition 3.1 for a reachable triple: the path
+  /// MixedIsoGraph(t1, {t2, tm}).FindInnerChain(t2, tm) returns, found by
+  /// a BFS over conflict_ rows.
+  std::optional<std::vector<TxnId>> InnerChain(TxnId t1, TxnId t2,
+                                               TxnId tm) const;
 
   int first_ww_idx(TxnId i, TxnId j) const {
     return first_ww_idx_[i * txns_.size() + j];

@@ -42,8 +42,8 @@ StatusOr<ConstrainedAllocationResult> ComputeConstrainedAllocation(
       if (!(level < allocation.level(t))) break;  // Already at/below.
       Allocation candidate = allocation.With(t, level);
       ++result.robustness_checks;
-      if (analyzer.Check(candidate).robust) {
-        allocation = candidate;
+      if (analyzer.CheckDelta(allocation, candidate).robust) {
+        allocation = std::move(candidate);
         break;
       }
     }

@@ -47,7 +47,8 @@ void IncrementalAllocator::Reoptimize(
   Allocation allocation = Allocation::AllSSI(txns_.size());
   uint64_t checks = 0;
   uint64_t warm_start_skips = 0;
-  for (TxnId t = 0; t < txns_.size(); ++t) {
+  bool cancelled = false;
+  for (TxnId t = 0; t < txns_.size() && !cancelled; ++t) {
     for (IsolationLevel level : {IsolationLevel::kRC, IsolationLevel::kSI}) {
       if (level < lower_bounds[t]) {  // Warm start.
         ++warm_start_skips;
@@ -56,8 +57,13 @@ void IncrementalAllocator::Reoptimize(
       Allocation candidate = allocation.With(t, level);
       ++checks_performed_;
       ++checks;
-      if (analyzer.Check(candidate, options_).robust) {
-        allocation = candidate;
+      RobustnessResult check =
+          analyzer.CheckDelta(allocation, candidate, options_);
+      // A cancelled check carries no verdict: keep the robust allocation.
+      cancelled = check.cancelled;
+      if (cancelled) break;
+      if (check.robust) {
+        allocation = std::move(candidate);
         break;
       }
     }

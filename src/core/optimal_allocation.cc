@@ -20,14 +20,22 @@ OptimalAllocationResult ComputeOptimalAllocation(
   OptimalAllocationResult result;
   result.allocation = Allocation::AllSSI(txns.size());
   uint64_t levels_tried = 0;
-  for (TxnId t = 0; t < txns.size(); ++t) {
+  for (TxnId t = 0; t < txns.size() && !result.cancelled; ++t) {
     for (IsolationLevel level :
          {IsolationLevel::kRC, IsolationLevel::kSI}) {
       Allocation candidate = result.allocation.With(t, level);
       ++result.robustness_checks;
       ++levels_tried;
-      if (analyzer.Check(candidate, options).robust) {
-        result.allocation = candidate;
+      // The current allocation is robust, so only triples through t can
+      // break the candidate.
+      RobustnessResult check =
+          analyzer.CheckDelta(result.allocation, candidate, options);
+      if (check.cancelled) {
+        result.cancelled = true;
+        break;
+      }
+      if (check.robust) {
+        result.allocation = std::move(candidate);
         break;
       }
     }

@@ -13,6 +13,10 @@ struct OptimalAllocationResult {
   /// Number of invocations of the robustness checker — exposed for the
   /// complexity benchmarks.
   uint64_t robustness_checks = 0;
+  /// True when CheckOptions::cancel stopped the search. `allocation` is
+  /// then the last robust allocation reached: robust, but not necessarily
+  /// optimal.
+  bool cancelled = false;
 };
 
 /// Algorithm 2: computes the *unique* optimal robust allocation over

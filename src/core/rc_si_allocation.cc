@@ -20,8 +20,8 @@ RcSiAllocationResult ComputeOptimalRcSiAllocation(const TransactionSet& txns) {
   for (TxnId t = 0; t < txns.size(); ++t) {
     Allocation candidate = allocation.With(t, IsolationLevel::kRC);
     ++result.robustness_checks;
-    if (analyzer.Check(candidate).robust) {
-      allocation = candidate;
+    if (analyzer.CheckDelta(allocation, candidate).robust) {
+      allocation = std::move(candidate);
     }
   }
   result.allocation = std::move(allocation);

@@ -91,6 +91,9 @@ StatusOr<Evaluation> Evaluate(const TransactionSet& txns,
       ComputeOptimalAllocation(eval.rewrite.promoted, options.check);
   ++plan.allocations_computed;
   plan.robustness_checks += result.robustness_checks;
+  // A cancelled Algorithm 2 stops above the optimum; flag the plan rather
+  // than let its cost pass for a verdict.
+  if (result.cancelled) plan.cancelled = true;
   eval.allocation = std::move(result.allocation);
   eval.cost = ComputeAllocationCost(eval.allocation, options);
   return eval;
@@ -269,6 +272,7 @@ StatusOr<PromotionPlan> PromoteForTarget(const TransactionSet& txns,
   OptimalAllocationResult base = ComputeOptimalAllocation(txns, options.check);
   ++plan.allocations_computed;
   plan.robustness_checks += base.robustness_checks;
+  if (base.cancelled) plan.cancelled = true;
   plan.before_allocation = base.allocation;
   plan.before_cost = ComputeAllocationCost(base.allocation, options);
 
@@ -336,6 +340,7 @@ StatusOr<PromotionPlan> PromoteForTarget(const TransactionSet& txns,
       ComputeOptimalAllocation(current.promoted, options.check);
   ++plan.allocations_computed;
   plan.robustness_checks += after.robustness_checks;
+  if (after.cancelled) plan.cancelled = true;
   plan.promoted = std::move(current.promoted);
   plan.after_allocation = std::move(after.allocation);
   plan.after_cost = ComputeAllocationCost(plan.after_allocation, options);

@@ -94,12 +94,15 @@ Evaluation Evaluate(const std::vector<std::unique_ptr<WorldWorkload>>& worlds,
       bool robust = true;
       for (const std::unique_ptr<WorldWorkload>& world : worlds) {
         ++*robustness_checks;
-        RobustnessResult result = world->analyzer->Check(
-            InstanceAllocation(world->base->instantiation, candidate));
+        // eval.levels is robust in every world; the candidate changes
+        // every instance of template t.
+        const Instantiation& inst = world->base->instantiation;
+        RobustnessResult result = world->analyzer->CheckDelta(
+            InstanceAllocation(inst, eval.levels),
+            InstanceAllocation(inst, candidate));
         if (result.robust) continue;
         robust = false;
         if (result.counterexample.has_value()) {
-          const Instantiation& inst = world->base->instantiation;
           for (OpRef promoted_ref : CandidatesFromChain(
                    world->rewrite.promoted, *result.counterexample)) {
             std::optional<OpRef> base_ref =

@@ -56,16 +56,23 @@ StatusOr<TemplateAnalysis> BuildTemplateAnalysis(
 }
 
 // True when `levels` keeps every world robust; otherwise reports the
-// first failing world.
+// first failing world. A non-null `base` must be robust in every world;
+// each world is then checked by delta against it.
 bool RobustInAllWorlds(const TemplateAnalysis& analysis,
                        const TemplateAllocation& levels,
+                       const TemplateAllocation* base,
                        uint64_t* robustness_checks,
                        size_t* failing_world = nullptr,
                        std::optional<CounterexampleChain>* chain = nullptr) {
   for (size_t w = 0; w < analysis.worlds.size(); ++w) {
     if (robustness_checks != nullptr) ++*robustness_checks;
-    RobustnessResult result = analysis.analyzers[w]->Check(
-        InstanceAllocation(analysis.worlds[w].instantiation, levels));
+    const Instantiation& inst = analysis.worlds[w].instantiation;
+    const RobustnessAnalyzer& analyzer = *analysis.analyzers[w];
+    Allocation alloc = InstanceAllocation(inst, levels);
+    RobustnessResult result =
+        base == nullptr
+            ? analyzer.Check(alloc)
+            : analyzer.CheckDelta(InstanceAllocation(inst, *base), alloc);
     if (!result.robust) {
       if (failing_world != nullptr) *failing_world = w;
       if (chain != nullptr) *chain = std::move(result.counterexample);
@@ -92,8 +99,8 @@ StatusOr<TemplateRobustnessResult> CheckTemplateRobustness(
   result.worlds_checked = analysis->worlds.size();
   size_t failing_world = 0;
   std::optional<CounterexampleChain> chain;
-  result.robust =
-      RobustInAllWorlds(*analysis, levels, nullptr, &failing_world, &chain);
+  result.robust = RobustInAllWorlds(*analysis, levels, nullptr, nullptr,
+                                    &failing_world, &chain);
   if (result.robust) {
     result.instantiation = std::move(analysis->worlds.front().instantiation);
   } else {
@@ -117,9 +124,9 @@ StatusOr<TemplateAllocationResult> ComputeOptimalTemplateAllocation(
     for (IsolationLevel level : {IsolationLevel::kRC, IsolationLevel::kSI}) {
       TemplateAllocation candidate = result.levels;
       candidate[t] = level;
-      if (RobustInAllWorlds(*analysis, candidate,
+      if (RobustInAllWorlds(*analysis, candidate, &result.levels,
                             &result.robustness_checks)) {
-        result.levels = candidate;
+        result.levels = std::move(candidate);
         break;
       }
     }
@@ -136,7 +143,7 @@ StatusOr<RcSiTemplateAllocationResult> ComputeOptimalRcSiTemplateAllocation(
   TemplateAllocation all_si(set.size(), IsolationLevel::kSI);
   size_t failing_world = 0;
   std::optional<CounterexampleChain> chain;
-  if (!RobustInAllWorlds(*analysis, all_si, nullptr, &failing_world,
+  if (!RobustInAllWorlds(*analysis, all_si, nullptr, nullptr, &failing_world,
                          &chain)) {
     result.allocatable = false;
     result.counterexample = std::move(chain);
@@ -151,8 +158,8 @@ StatusOr<RcSiTemplateAllocationResult> ComputeOptimalRcSiTemplateAllocation(
   for (size_t t = 0; t < set.size(); ++t) {
     TemplateAllocation candidate = levels;
     candidate[t] = IsolationLevel::kRC;
-    if (RobustInAllWorlds(*analysis, candidate, nullptr)) {
-      levels = candidate;
+    if (RobustInAllWorlds(*analysis, candidate, &levels, nullptr)) {
+      levels = std::move(candidate);
     }
   }
   result.levels = std::move(levels);
@@ -192,7 +199,7 @@ StatusOr<TemplateExplanation> ExplainTemplateAllocation(
 
   TemplateExplanation explanation;
   explanation.levels = levels;
-  if (!RobustInAllWorlds(*analysis, levels, nullptr)) {
+  if (!RobustInAllWorlds(*analysis, levels, nullptr, nullptr)) {
     return Status::FailedPrecondition(
         "the template allocation is not robust; nothing to explain");
   }
@@ -206,8 +213,8 @@ StatusOr<TemplateExplanation> ExplainTemplateAllocation(
       candidate[t] = lower;
       size_t failing_world = 0;
       std::optional<CounterexampleChain> chain;
-      if (!RobustInAllWorlds(*analysis, candidate, nullptr, &failing_world,
-                             &chain)) {
+      if (!RobustInAllWorlds(*analysis, candidate, &levels, nullptr,
+                             &failing_world, &chain)) {
         entry.obstacles.push_back(TemplateObstacle::Entry{
             lower, std::move(*chain), failing_world,
             analysis->worlds[failing_world].world.name});

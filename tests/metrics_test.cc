@@ -223,6 +223,80 @@ TEST(AnalyzerMetricsTest, CounterexampleRunsCountWitnesses) {
             result.triples_examined);
 }
 
+// The triples of the canonical scan order with a member whose level
+// differs between `base` and `candidate`, up to and including the
+// witness (all of them when robust), counted one by one.
+uint64_t FocusTriplesByScan(const Allocation& base, const Allocation& candidate,
+                            const RobustnessResult& result) {
+  const TxnId n = static_cast<TxnId>(base.size());
+  auto changed = [&](TxnId t) { return base.level(t) != candidate.level(t); };
+  uint64_t count = 0;
+  for (TxnId t1 = 0; t1 < n; ++t1) {
+    for (TxnId t2 = 0; t2 < n; ++t2) {
+      if (t2 == t1) continue;
+      for (TxnId tm = 0; tm < n; ++tm) {
+        if (tm == t1) continue;
+        if (changed(t1) || changed(t2) || changed(tm)) ++count;
+        const std::optional<CounterexampleChain>& w = result.counterexample;
+        if (w.has_value() && w->t1 == t1 && w->t2 == t2 && w->tm == tm) {
+          return count;
+        }
+      }
+    }
+  }
+  return count;
+}
+
+// A delta check counts as a check and a delta check, with the exact
+// number of triples it covers; the audited analyzer.triples_examined
+// stays a full-check counter. Witness recovery is timed once per witness.
+TEST(AnalyzerMetricsTest, DeltaChecksCountTheirOwnTriples) {
+  TransactionSet txns = Tpcc();
+  const size_t n = txns.size();
+  RobustnessAnalyzer analyzer(txns);
+  const Allocation ssi = Allocation::AllSSI(n);
+  const Allocation si = Allocation::AllSI(n);
+  const std::vector<std::pair<Allocation, Allocation>> pairs = {
+      {ssi, ssi.With(0, IsolationLevel::kRC)},
+      {ssi, ssi.With(7, IsolationLevel::kSI)},
+      {si, si.With(3, IsolationLevel::kRC)},
+      {si, si.With(19, IsolationLevel::kRC)},
+      {ssi, Allocation::AllRC(n)},
+      {si, si},
+  };
+  int witnesses = 0;
+  for (const auto& [base, candidate] : pairs) {
+    for (int threads : {1, 4}) {
+      MetricsRegistry registry;
+      CheckOptions options;
+      options.num_threads = threads;
+      options.metrics = &registry;
+      RobustnessResult result = analyzer.CheckDelta(base, candidate, options);
+      RobustnessResult full = analyzer.Check(candidate);
+      ASSERT_EQ(result.robust, full.robust);
+      EXPECT_EQ(result.triples_examined, full.triples_examined);
+      EXPECT_EQ(registry.counter("analyzer.checks").value(), 1u);
+      EXPECT_EQ(registry.counter("analyzer.delta_checks").value(), 1u);
+      EXPECT_EQ(registry.counter("analyzer.triples_examined").value(), 0u);
+      EXPECT_EQ(registry.counter("analyzer.delta_triples_examined").value(),
+                FocusTriplesByScan(base, candidate, result))
+          << base.ToString(txns) << " -> " << candidate.ToString(txns)
+          << " threads=" << threads;
+      const uint64_t recoveries =
+          registry.histogram("phase.analyzer.witness_recovery_us").count();
+      if (result.robust) {
+        EXPECT_EQ(recoveries, 0u);
+      } else if (threads == 1) {
+        EXPECT_EQ(recoveries, 1u);
+        ++witnesses;
+      } else {
+        EXPECT_GE(recoveries, 1u);
+      }
+    }
+  }
+  EXPECT_GT(witnesses, 0);  // Both verdicts are covered.
+}
+
 TEST(AllocationMetricsTest, Algorithm2CountersAndUnchangedResult) {
   TransactionSet txns = Tpcc();
   OptimalAllocationResult baseline =
@@ -242,6 +316,9 @@ TEST(AllocationMetricsTest, Algorithm2CountersAndUnchangedResult) {
   EXPECT_EQ(registry.counter("allocation.lattice_levels_tried").value(),
             instrumented.robustness_checks);
   EXPECT_EQ(registry.counter("analyzer.checks").value(),
+            instrumented.robustness_checks);
+  // Every Algorithm 2 candidate is checked by delta against a robust base.
+  EXPECT_EQ(registry.counter("analyzer.delta_checks").value(),
             instrumented.robustness_checks);
   EXPECT_EQ(registry.histogram("phase.allocation.algorithm2_us").count(), 1u);
 }

@@ -16,6 +16,8 @@
 #include "core/optimal_allocation.h"
 #include "core/robustness.h"
 #include "core/split_schedule.h"
+#include "promote/optimizer.h"
+#include "workloads/registry.h"
 #include "workloads/synthetic.h"
 
 namespace mvrob {
@@ -234,6 +236,31 @@ TEST(CancellationTest, RaisedCancelYieldsNoVerdict) {
     RobustnessResult live = analyzer.Check(alloc, options);
     EXPECT_FALSE(live.cancelled);
     ExpectSameResult(txns, alloc, reference, live, "uncancelled");
+  }
+}
+
+// A cancelled Algorithm 2 says so and never hands back a non-robust
+// allocation: a cancelled check carries no verdict, so it must not be
+// read as "robust" and accepted.
+TEST(CancellationTest, CancelledAlgorithm2IsFlaggedAndStaysRobust) {
+  StatusOr<Workload> workload = MakeNamedWorkload("smallbank:c=4");
+  ASSERT_TRUE(workload.ok()) << workload.status();
+  const TransactionSet& txns = workload->txns;
+  std::atomic<bool> cancel{true};
+  for (int threads : {1, 4}) {
+    CheckOptions options;
+    options.num_threads = threads;
+    options.cancel = &cancel;
+    OptimalAllocationResult result = ComputeOptimalAllocation(txns, options);
+    EXPECT_TRUE(result.cancelled) << "threads " << threads;
+    EXPECT_TRUE(CheckRobustness(txns, result.allocation).robust)
+        << result.allocation.ToString(txns);
+
+    PromoteOptions promote;
+    promote.check = options;
+    StatusOr<PromotionPlan> plan = OptimizePromotions(txns, promote);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    EXPECT_TRUE(plan->cancelled);
   }
 }
 

@@ -222,9 +222,23 @@ TEST_P(AnalyzerAgreementTest, MatchesReferenceChecker) {
                            : MixedAllocation(txns.size(), GetParam() * 7 + salt);
     RobustnessResult reference = CheckRobustness(txns, alloc);
     RobustnessResult fast = analyzer.Check(alloc);
-    EXPECT_EQ(reference.robust, fast.robust)
+    ASSERT_EQ(reference.robust, fast.robust)
         << txns.ToString() << alloc.ToString(txns);
+    EXPECT_EQ(reference.triples_examined, fast.triples_examined);
     if (!fast.robust) {
+      // The whole chain, inner path included: the analyzer's bit-row BFS
+      // must walk MixedIsoGraph::FindInnerChain's order.
+      const CounterexampleChain& want = *reference.counterexample;
+      const CounterexampleChain& got = *fast.counterexample;
+      EXPECT_EQ(want.t1, got.t1);
+      EXPECT_EQ(want.t2, got.t2);
+      EXPECT_EQ(want.tm, got.tm);
+      EXPECT_EQ(want.b1, got.b1);
+      EXPECT_EQ(want.a1, got.a1);
+      EXPECT_EQ(want.a2, got.a2);
+      EXPECT_EQ(want.bm, got.bm);
+      EXPECT_EQ(want.inner, got.inner)
+          << txns.ToString() << alloc.ToString(txns);
       Status verified =
           VerifyCounterexample(txns, alloc, *fast.counterexample);
       EXPECT_TRUE(verified.ok()) << verified;
@@ -234,6 +248,42 @@ TEST_P(AnalyzerAgreementTest, MatchesReferenceChecker) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, AnalyzerAgreementTest,
                          ::testing::Range<uint64_t>(0, 60));
+
+// Sparse sets (many objects, short transactions), where witnesses mostly
+// need inner transactions: the analyzer's chain, inner path included,
+// equals the reference checker's MixedIsoGraph path.
+TEST(InnerChainAgreementTest, SparseSetsMatchReferencePaths) {
+  int with_inner = 0;
+  int with_long_inner = 0;
+  for (uint64_t seed = 0; seed < 80; ++seed) {
+    SyntheticParams params;
+    params.num_txns = 8 + static_cast<int>(seed % 9);
+    params.num_objects = 2 * params.num_txns + static_cast<int>(seed % 12);
+    params.min_ops = 2;
+    params.max_ops = 3;
+    params.write_fraction = 0.5;
+    params.seed = seed * 31 + 7;
+    TransactionSet txns = GenerateSynthetic(params);
+    RobustnessAnalyzer analyzer(txns);
+    const size_t n = txns.size();
+    for (uint64_t salt = 0; salt < 4; ++salt) {
+      Allocation alloc = salt < 3 ? Allocation(n, kAllIsolationLevels[salt])
+                                  : MixedAllocation(n, seed);
+      RobustnessResult reference = CheckRobustness(txns, alloc);
+      RobustnessResult fast = analyzer.Check(alloc);
+      ASSERT_EQ(reference.robust, fast.robust);
+      if (fast.robust) continue;
+      EXPECT_EQ(reference.counterexample->ChainTxns(),
+                fast.counterexample->ChainTxns())
+          << txns.ToString() << alloc.ToString(txns);
+      with_inner += fast.counterexample->inner.empty() ? 0 : 1;
+      with_long_inner += fast.counterexample->inner.size() > 1 ? 1 : 0;
+    }
+  }
+  // The sweep must actually exercise the inner-path search.
+  EXPECT_GE(with_inner, 40);
+  EXPECT_GE(with_long_inner, 15);
+}
 
 }  // namespace
 }  // namespace mvrob

@@ -568,20 +568,27 @@ else
 fi
 rm -f "$FRESH_TEMPLATES"
 
+echo "==== benchmark determinism self-test (perfbench) ===="
+# Builds the benchmark harness (.bench_build/perfbench) and checks that
+# same-seed runs report identical exact counts and that every run passes
+# its correctness checks; about seven one-second harness runs.
+python3 perfbench/selftest.py
+
 echo "==== TSan build (MVROB_SANITIZE=thread) ===="
 cmake -B build-tsan -S . -DMVROB_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"$JOBS" --target \
-  common_test parallel_differential_test concurrent_engine_test profiler_test
+  common_test parallel_differential_test concurrent_engine_test profiler_test \
+  delta_check_test
 MVROB_POOL_WORKERS=3 TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir build-tsan --output-on-failure -j"$JOBS" \
-  -R 'ThreadPool|ParallelDifferential|ParallelAllocation|IncrementalParallel|Concurrent'
+  -R 'ThreadPool|ParallelDifferential|ParallelAllocation|IncrementalParallel|Concurrent|DeltaCheck'
 
 echo "==== ASan build (MVROB_SANITIZE=address) ===="
 cmake -B build-asan -S . -DMVROB_SANITIZE=address >/dev/null
 cmake --build build-asan -j"$JOBS" --target \
-  common_test parallel_differential_test core_test
+  common_test parallel_differential_test core_test delta_check_test
 MVROB_POOL_WORKERS=3 \
   ctest --test-dir build-asan --output-on-failure -j"$JOBS" \
-  -R 'DenseBitset|BitMatrix|ThreadPool|ParallelDifferential|Core|Analyzer'
+  -R 'DenseBitset|BitMatrix|ThreadPool|ParallelDifferential|Core|Analyzer|DeltaCheck'
 
 echo "==== all CI stages passed ===="
