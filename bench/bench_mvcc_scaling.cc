@@ -16,7 +16,6 @@
 #include "common/profiler.h"
 #include "common/status.h"
 #include "iso/allocation.h"
-#include "mvcc/concurrent_driver.h"
 #include "mvcc/concurrent_engine.h"
 #include "mvcc/driver.h"
 #include "mvcc/txn_trace.h"

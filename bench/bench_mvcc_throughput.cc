@@ -41,7 +41,7 @@ RunOutcome Measure(const TransactionSet& programs, const Allocation& alloc,
                    SsiMode ssi_mode = SsiMode::kExact) {
   RunOutcome outcome;
   for (int rep = 0; rep < repetitions; ++rep) {
-    Engine engine(programs.num_objects(), EngineOptions{ssi_mode});
+    Engine engine(programs.num_objects(), EngineOptions{{}, ssi_mode});
     RandomRunOptions options;
     options.concurrency = concurrency;
     options.max_retries = 5;

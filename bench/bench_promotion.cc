@@ -83,7 +83,7 @@ struct ThroughputOutcome {
 
 ThroughputOutcome RunOnce(const TransactionSet& programs,
                           const Allocation& alloc, uint64_t seed) {
-  Engine engine(programs.num_objects(), EngineOptions{SsiMode::kExact});
+  Engine engine(programs.num_objects());
   RandomRunOptions options;
   options.concurrency = 8;
   options.max_retries = 5;

@@ -7,7 +7,6 @@
 
 #include "core/analyzer.h"
 #include "core/robustness.h"
-#include "legacy_analyzer.h"
 #include "workloads/synthetic.h"
 
 namespace mvrob {
@@ -166,22 +165,9 @@ void BM_Analyzer_ScaleTxns(benchmark::State& state) {
 BENCHMARK(BM_Analyzer_ScaleTxns)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64)
     ->Arg(128)->Arg(256)->Arg(512)->Unit(benchmark::kMicrosecond);
 
-// ---- Old-vs-bitset: the pre-refactor analyzer (bench/legacy_analyzer.h,
-// a verbatim copy) against the bitset engine on the same instances. Same
-// verdicts and triple counts; only the kernels differ.
-
-void BM_LegacyAnalyzer_RmwClique(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  TransactionSet txns = MakeRmwClique(n, 2);
-  LegacyRobustnessAnalyzer analyzer(txns);
-  Allocation alloc = Allocation::AllSI(txns.size());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(analyzer.Check(alloc).robust);
-  }
-  state.counters["txns"] = n;
-}
-BENCHMARK(BM_LegacyAnalyzer_RmwClique)->Arg(64)->Arg(256)->Arg(1024)
-    ->Unit(benchmark::kMicrosecond);
+// ---- The bitset engine on the RMW clique and readers/writers families.
+// (The frozen pre-bitset analyzer these rows were once compared against is
+// retired; its numbers stay in EXPERIMENTS.md.)
 
 void BM_BitsetAnalyzer_RmwClique(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -194,19 +180,6 @@ void BM_BitsetAnalyzer_RmwClique(benchmark::State& state) {
   state.counters["txns"] = n;
 }
 BENCHMARK(BM_BitsetAnalyzer_RmwClique)->Arg(64)->Arg(256)->Arg(1024)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_LegacyAnalyzer_ReadersWriters(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  TransactionSet txns = MakeReadersWriters(n, 4);
-  LegacyRobustnessAnalyzer analyzer(txns);
-  Allocation alloc = Allocation::AllSI(txns.size());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(analyzer.Check(alloc).robust);
-  }
-  state.counters["txns"] = n;
-}
-BENCHMARK(BM_LegacyAnalyzer_ReadersWriters)->Arg(64)->Arg(256)->Arg(1024)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_BitsetAnalyzer_ReadersWriters(benchmark::State& state) {

@@ -28,8 +28,6 @@
 #include "core/witness.h"
 #include "iso/allowed.h"
 #include "iso/materialize.h"
-#include "mvcc/concurrent_driver.h"
-#include "mvcc/concurrent_engine.h"
 #include "mvcc/driver.h"
 #include "mvcc/recorder.h"
 #include "mvcc/roundtrip.h"
@@ -111,8 +109,8 @@ common flags:
                            oracle)
   --engine-shards <n>      key-space shards of the many-core engine
                            (simulate, validate, serve; default 0 = auto
-                           = max(16, 4*threads); ignored when
-                           --engine-threads is 1)
+                           = max(16, 4*threads); requires
+                           --engine-threads > 1)
   --seed <n>               base RNG seed (simulate, validate; default 0)
   --witness-json <file|->  structured witness provenance as JSON: every
                            counterexample edge with its conflict type,
@@ -379,6 +377,27 @@ StatusOr<CheckOptions> LoadCheckOptions(const Flags& flags,
   if (!threads.ok()) return threads.status();
   options.num_threads = *threads;
   return options;
+}
+
+// --engine-threads / --engine-shards, shared by simulate, validate and
+// serve. Shards partition the many-core engine only, so a shard count
+// without more than one engine thread is rejected rather than ignored.
+struct EngineFlags {
+  int threads = 1;
+  size_t shards = 0;
+};
+
+StatusOr<EngineFlags> LoadEngineFlags(const Flags& flags) {
+  StatusOr<int> threads = IntFlag(flags, "engine-threads", 1, 1, 256);
+  if (!threads.ok()) return threads.status();
+  StatusOr<int> shards = IntFlag(flags, "engine-shards", 0, 1, 1 << 16);
+  if (!shards.ok()) return shards.status();
+  if (*shards != 0 && *threads == 1) {
+    return Status::InvalidArgument(
+        "--engine-shards requires --engine-threads > 1 (the single-threaded "
+        "engine has no shards)");
+  }
+  return EngineFlags{*threads, static_cast<size_t>(*shards)};
 }
 
 // WriteTextFile / EmitArtifact live in cli/export.h, shared with the
@@ -881,17 +900,12 @@ int CmdSimulate(const Flags& flags, std::ostream& out, std::ostream& err,
   if (!concurrency.ok()) return Fail(err, concurrency.status());
   StatusOr<uint64_t> seed = Uint64Flag(flags, "seed", 0);
   if (!seed.ok()) return Fail(err, seed.status());
-  StatusOr<int> engine_threads =
-      IntFlag(flags, "engine-threads", 1, 1, 256);
-  if (!engine_threads.ok()) return Fail(err, engine_threads.status());
-  StatusOr<int> engine_shards =
-      IntFlag(flags, "engine-shards", 0, 1, 1 << 16);
-  if (!engine_shards.ok()) return Fail(err, engine_shards.status());
-  const bool concurrent = *engine_threads > 1;
+  StatusOr<EngineFlags> engine = LoadEngineFlags(flags);
+  if (!engine.ok()) return Fail(err, engine.status());
 
   out << "simulating " << *runs << " executions of " << txns->size()
       << " transactions under " << alloc->ToString(*txns);
-  if (concurrent) out << " (" << *engine_threads << " engine threads)";
+  if (engine->threads > 1) out << " (" << engine->threads << " engine threads)";
   out << "\n";
   // --record-schedule / --record-trace export the *last* run; the recorder
   // is cleared between runs so the files cover one complete execution.
@@ -909,40 +923,16 @@ int CmdSimulate(const Flags& flags, std::ostream& out, std::ostream& err,
     RandomRunOptions options;
     options.concurrency = *concurrency;
     options.seed = *seed + static_cast<uint64_t>(r);
+    options.engine_threads = engine->threads;
+    options.engine_shards = engine->shards;
     options.metrics = metrics;
     options.tracer = tracer;
-    // Engines live in optionals so one loop body serves both paths.
-    std::optional<Engine> engine;
-    std::optional<ConcurrentEngine> concurrent_engine;
-    DriverReport report;
-    if (concurrent) {
-      ConcurrentEngineOptions engine_options;
-      engine_options.num_shards = static_cast<size_t>(*engine_shards);
-      engine_options.metrics = metrics;
-      engine_options.tracer = tracer;
-      if (recorder.has_value()) engine_options.recorder = &*recorder;
-      concurrent_engine.emplace(txns->num_objects(),
-                                static_cast<size_t>(*engine_threads),
-                                engine_options);
-      options.engine_threads = *engine_threads;
-      report = RunConcurrent(*concurrent_engine, *txns, *alloc, options);
-    } else {
-      EngineOptions engine_options;
-      engine_options.metrics = metrics;
-      engine_options.tracer = tracer;
-      if (recorder.has_value()) engine_options.recorder = &*recorder;
-      engine.emplace(txns->num_objects(), engine_options);
-      report = RunRandom(*engine, *txns, *alloc, options);
-    }
-    const EngineStats stats =
-        concurrent ? concurrent_engine->stats() : engine->stats();
-    commits += report.committed;
-    fuw += stats.aborts_write_conflict;
-    ssi += stats.aborts_ssi;
-    StatusOr<ExportedRun> run =
-        concurrent ? ExportCommittedSessions(
-                         concurrent_engine->SessionSnapshot(), *txns)
-                   : ExportCommittedRun(*engine, *txns);
+    if (recorder.has_value()) options.recorder = &*recorder;
+    const WorkloadRun engine_run = RunWorkload(*txns, *alloc, options);
+    commits += engine_run.report().committed;
+    fuw += engine_run.stats().aborts_write_conflict;
+    ssi += engine_run.stats().aborts_ssi;
+    StatusOr<ExportedRun> run = engine_run.Export(*txns);
     if (!run.ok()) continue;
     StatusOr<Schedule> schedule = run->BuildSchedule();
     if (!schedule.ok()) continue;
@@ -1006,19 +996,15 @@ int CmdValidate(const Flags& flags, std::ostream& out, std::ostream& err,
   if (!concurrency.ok()) return Fail(err, concurrency.status());
   StatusOr<uint64_t> seed = Uint64Flag(flags, "seed", 0);
   if (!seed.ok()) return Fail(err, seed.status());
-  StatusOr<int> engine_threads =
-      IntFlag(flags, "engine-threads", 1, 1, 256);
-  if (!engine_threads.ok()) return Fail(err, engine_threads.status());
-  StatusOr<int> engine_shards =
-      IntFlag(flags, "engine-shards", 0, 1, 1 << 16);
-  if (!engine_shards.ok()) return Fail(err, engine_shards.status());
+  StatusOr<EngineFlags> engine = LoadEngineFlags(flags);
+  if (!engine.ok()) return Fail(err, engine.status());
 
   RoundTripOptions options;
   options.runs = *runs;
   options.concurrency = *concurrency;
   options.seed = *seed;
-  options.engine_threads = *engine_threads;
-  options.engine_shards = static_cast<size_t>(*engine_shards);
+  options.engine_threads = engine->threads;
+  options.engine_shards = engine->shards;
   options.check = *check;
   options.metrics = metrics;
   StatusOr<RoundTripReport> report =
@@ -1160,14 +1146,10 @@ int CmdServe(const Flags& flags, std::ostream& out, std::ostream& err) {
   StatusOr<int> threads = IntFlag(flags, "threads", 1);
   if (!threads.ok()) return Fail(err, threads.status());
   params.threads = *threads;
-  StatusOr<int> engine_threads =
-      IntFlag(flags, "engine-threads", 1, 1, 256);
-  if (!engine_threads.ok()) return Fail(err, engine_threads.status());
-  params.engine_threads = *engine_threads;
-  StatusOr<int> engine_shards =
-      IntFlag(flags, "engine-shards", 0, 1, 1 << 16);
-  if (!engine_shards.ok()) return Fail(err, engine_shards.status());
-  params.engine_shards = static_cast<size_t>(*engine_shards);
+  StatusOr<EngineFlags> engine = LoadEngineFlags(flags);
+  if (!engine.ok()) return Fail(err, engine.status());
+  params.engine_threads = engine->threads;
+  params.engine_shards = engine->shards;
 
   params.adapt = flags.Has("adapt");
   StatusOr<int> adapt_interval =

@@ -26,10 +26,7 @@
 #include "common/watchdog.h"
 #include "core/robustness.h"
 #include "core/witness.h"
-#include "mvcc/concurrent_driver.h"
-#include "mvcc/concurrent_engine.h"
 #include "mvcc/driver.h"
-#include "mvcc/engine.h"
 #include "mvcc/txn_trace.h"
 
 namespace mvrob {
@@ -363,7 +360,6 @@ int RunServe(ServeParams params, std::ostream& out, std::ostream& err) {
   uint64_t committed = 0;
   std::thread driver([&] {
     ProfiledThreadScope profile_scope("serve.driver");
-    const bool concurrent = params.engine_threads > 1;
     while (!stop.load(std::memory_order_relaxed)) {
       TransactionSet txns;
       Allocation alloc;
@@ -378,26 +374,9 @@ int RunServe(ServeParams params, std::ostream& out, std::ostream& err) {
       options.live = &live;
       options.tracer = tracer_ptr;
       options.watchdog = &watchdog;
-      DriverReport report;
-      if (concurrent) {
-        ConcurrentEngineOptions engine_options;
-        engine_options.num_shards = params.engine_shards;
-        engine_options.metrics = &registry;
-        engine_options.tracer = tracer_ptr;
-        engine_options.watchdog = &watchdog;
-        ConcurrentEngine engine(
-            txns.num_objects(),
-            static_cast<size_t>(params.engine_threads), engine_options);
-        options.engine_threads = params.engine_threads;
-        report = RunConcurrent(engine, txns, alloc, options);
-      } else {
-        EngineOptions engine_options;
-        engine_options.metrics = &registry;
-        engine_options.tracer = tracer_ptr;
-        Engine engine(txns.num_objects(), engine_options);
-        report = RunRandom(engine, txns, alloc, options);
-      }
-      committed += report.committed;
+      options.engine_threads = params.engine_threads;
+      options.engine_shards = params.engine_shards;
+      committed += RunWorkload(txns, alloc, options).report().committed;
       ++epochs;
     }
   });

@@ -39,8 +39,8 @@ struct ServeParams {
   /// (mvcc/concurrent_engine.h) with per-shard telemetry and epoch GC
   /// running inside the engine.
   int engine_threads = 1;
-  /// Key-space shards for the many-core engine (0 = auto). Ignored when
-  /// engine_threads == 1.
+  /// Key-space shards for the many-core engine (0 = auto); requires
+  /// engine_threads > 1 (the CLI rejects it otherwise).
   size_t engine_shards = 0;
 
   /// Adaptive allocation (adapt/controller.h): when true, a controller

@@ -4,12 +4,10 @@
 #include <cassert>
 #include <chrono>
 
-#include "common/log.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
 #include "common/watchdog.h"
 #include "mvcc/recorder.h"
-#include "mvcc/txn_trace.h"
 
 namespace mvrob {
 namespace {
@@ -50,26 +48,14 @@ ConcurrentEngine::ConcurrentEngine(size_t num_objects, size_t num_workers,
                       : std::max<size_t>(16, 4 * std::max<size_t>(1, num_workers))),
       store_(num_objects),
       shards_(new Shard[num_shards_]),
-      workers_(new WorkerSlot[num_workers_]) {
+      workers_(new WorkerSlot[num_workers_]),
+      hooks_(options) {
   for (size_t s = 0; s < num_shards_; ++s) {
     // Initial versions (timestamp 0) owned by this shard.
     shards_[s].versions =
         num_objects / num_shards_ + (s < num_objects % num_shards_ ? 1 : 0);
   }
   if (MetricsRegistry* metrics = options_.metrics; metrics != nullptr) {
-    m_begins_ = &metrics->counter("mvcc.begins");
-    m_reads_ = &metrics->counter("mvcc.reads");
-    m_writes_ = &metrics->counter("mvcc.writes");
-    m_commits_ = &metrics->counter("mvcc.commits");
-    m_aborts_write_conflict_ = &metrics->counter("mvcc.aborts.write_conflict");
-    m_aborts_ssi_ = &metrics->counter("mvcc.aborts.ssi");
-    m_aborts_user_ = &metrics->counter("mvcc.aborts.user");
-    m_blocked_steps_ = &metrics->counter("mvcc.blocked_steps");
-    m_version_chain_len_ = &metrics->histogram("mvcc.version_chain_len");
-    m_gc_reclaimed_ = &metrics->counter("mvcc.gc.reclaimed");
-    m_gc_epochs_ = &metrics->counter("mvcc.gc.epochs");
-    m_gc_horizon_ = &metrics->gauge("mvcc.gc.horizon");
-    m_ssi_graph_size_ = &metrics->gauge("mvcc.ssi.graph_size");
     for (size_t s = 0; s < num_shards_; ++s) {
       shards_[s].m_versions =
           &metrics->gauge(StrCat("mvcc.shard.versions{shard=", s, "}"));
@@ -101,6 +87,23 @@ void ConcurrentEngine::LockShard(Shard& shard) {
   shard.m_lock_wait_us->Add(static_cast<uint64_t>(waited.count()));
 }
 
+Timestamp ConcurrentEngine::SampleClock(WorkerSlot& slot,
+                                        SessionRecord& record) {
+  if (record.level == IsolationLevel::kRC || record.first_step != 0) {
+    return clock_.load(std::memory_order_seq_cst);
+  }
+  // Lazy snapshot at first(T): publish a conservative bound for the epoch
+  // GC *before* sampling, then sample. The sample is both the snapshot and
+  // the clock component of this operation's step key, so the exported
+  // position of first(T) matches its visibility.
+  slot.snapshot.store(clock_.load(std::memory_order_seq_cst),
+                      std::memory_order_seq_cst);
+  const Timestamp c = clock_.load(std::memory_order_seq_cst);
+  record.snapshot_ts = c;
+  slot.snapshot.store(c, std::memory_order_seq_cst);
+  return c;
+}
+
 void ConcurrentEngine::RecordEvent(const EngineEvent& event) {
   std::lock_guard<std::mutex> lock(record_mu_);
   options_.recorder->Record(event);
@@ -113,35 +116,26 @@ SessionId ConcurrentEngine::Begin(size_t worker, IsolationLevel level) {
   record.level = level;
   record.state = TxnState::kActive;
   // SI/SSI snapshots are taken at the session's first operation; until
-  // then the session pins nothing.
+  // then the session pins nothing. With a recorder, the begin event must
+  // be recorded before any later-allocated session's begin:
+  // BuildRunFromRecording requires begins in id order, so allocation and
+  // recording are one critical section.
+  std::unique_lock<std::mutex> rec_lock(record_mu_, std::defer_lock);
+  if (options_.recorder != nullptr) rec_lock.lock();
   SessionId id;
-  if (options_.recorder != nullptr) {
-    // The begin event must be recorded before any later-allocated
-    // session's begin: BuildRunFromRecording requires begins in id order,
-    // so allocation and recording are one critical section.
-    std::lock_guard<std::mutex> rec_lock(record_mu_);
-    {
-      std::lock_guard<std::mutex> lock(session_mu_);
-      sessions_.push_back(std::move(record));
-      id = static_cast<SessionId>(sessions_.size() - 1);
-      slot.record = &sessions_.back();
-    }
-    EngineEvent event;
-    event.kind = EngineEventKind::kBegin;
-    event.session = id;
-    event.step = CurrentKey();
-    event.level = level;
-    event.version_ts = clock_.load(std::memory_order_relaxed);
-    options_.recorder->Record(event);
-  } else {
+  {
     std::lock_guard<std::mutex> lock(session_mu_);
     sessions_.push_back(std::move(record));
     id = static_cast<SessionId>(sessions_.size() - 1);
     slot.record = &sessions_.back();
   }
+  if (options_.recorder != nullptr) {
+    options_.recorder->Record(EngineEvent::Begin(
+        id, CurrentKey(), level, clock_.load(std::memory_order_relaxed)));
+  }
   slot.id = id;
   ++slot.stats.begins;
-  if (m_begins_ != nullptr) m_begins_->Increment();
+  if (hooks_.begins != nullptr) hooks_.begins->Increment();
   return id;
 }
 
@@ -150,7 +144,7 @@ ReadResult ConcurrentEngine::Read(size_t worker, ObjectId object) {
   SessionRecord& record = *slot.record;
   assert(record.state == TxnState::kActive);
   ++slot.stats.reads;
-  if (m_reads_ != nullptr) m_reads_->Increment();
+  if (hooks_.reads != nullptr) hooks_.reads->Increment();
 
   ReadResult result;
   // Read-your-own-writes: the buffered value wins; no shard state is
@@ -165,37 +159,14 @@ ReadResult ConcurrentEngine::Read(size_t worker, ObjectId object) {
     record.reads.push_back(
         SessionReadRecord{object, /*version_ts=*/0, slot.id, key});
     if (options_.recorder != nullptr) {
-      EngineEvent event;
-      event.kind = EngineEventKind::kRead;
-      event.session = slot.id;
-      event.step = key;
-      event.object = object;
-      event.value = result.value;
-      event.version_writer = slot.id;
-      event.own_write = true;
-      RecordEvent(event);
+      RecordEvent(EngineEvent::Read(slot.id, key, object, result, 0));
     }
     return result;
   }
 
   Shard& shard = ShardOf(object);
   LockShard(shard);
-  Timestamp c;
-  if (record.level == IsolationLevel::kRC) {
-    c = clock_.load(std::memory_order_seq_cst);
-  } else if (record.first_step == 0) {
-    // Lazy snapshot at first(T): publish a conservative bound for the
-    // epoch GC *before* sampling, then sample. The sample is both the
-    // snapshot and the clock component of this operation's step key, so
-    // the exported position of first(T) matches its visibility.
-    slot.snapshot.store(clock_.load(std::memory_order_seq_cst),
-                        std::memory_order_seq_cst);
-    c = clock_.load(std::memory_order_seq_cst);
-    record.snapshot_ts = c;
-    slot.snapshot.store(c, std::memory_order_seq_cst);
-  } else {
-    c = clock_.load(std::memory_order_seq_cst);
-  }
+  const Timestamp c = SampleClock(slot, record);
   Timestamp read_ts =
       record.level == IsolationLevel::kRC ? c : record.snapshot_ts;
   const StoredVersion version = store_.SnapshotRead(object, read_ts);
@@ -208,15 +179,8 @@ ReadResult ConcurrentEngine::Read(size_t worker, ObjectId object) {
   record.reads.push_back(
       SessionReadRecord{object, version.commit_ts, version.writer, key});
   if (options_.recorder != nullptr) {
-    EngineEvent event;
-    event.kind = EngineEventKind::kRead;
-    event.session = slot.id;
-    event.step = key;
-    event.object = object;
-    event.value = result.value;
-    event.version_writer = version.writer;
-    event.version_ts = version.commit_ts;
-    RecordEvent(event);
+    RecordEvent(
+        EngineEvent::Read(slot.id, key, object, result, version.commit_ts));
   }
   return result;
 }
@@ -240,32 +204,16 @@ WriteResult ConcurrentEngine::Write(size_t worker, ObjectId object,
     SessionId blocker = lock_it->second;
     shard.mu.unlock();
     ++slot.stats.blocked_steps;
-    if (m_blocked_steps_ != nullptr) m_blocked_steps_->Increment();
+    if (hooks_.blocked_steps != nullptr) hooks_.blocked_steps->Increment();
     result.status = StepStatus::kBlocked;
     result.blocker = blocker;
     if (options_.recorder != nullptr) {
-      EngineEvent event;
-      event.kind = EngineEventKind::kBlocked;
-      event.session = slot.id;
-      event.step = CurrentKey();
-      event.object = object;
-      event.version_writer = blocker;
-      RecordEvent(event);
+      RecordEvent(EngineEvent::Blocked(slot.id, CurrentKey(), object, blocker));
     }
     return result;
   }
 
-  Timestamp c;
-  if (record.level != IsolationLevel::kRC && record.first_step == 0) {
-    // Lazy snapshot at first(T); see Read.
-    slot.snapshot.store(clock_.load(std::memory_order_seq_cst),
-                        std::memory_order_seq_cst);
-    c = clock_.load(std::memory_order_seq_cst);
-    record.snapshot_ts = c;
-    slot.snapshot.store(c, std::memory_order_seq_cst);
-  } else {
-    c = clock_.load(std::memory_order_seq_cst);
-  }
+  const Timestamp c = SampleClock(slot, record);
   // First-updater-wins for snapshot levels (Definition 2.3). The chain
   // can contain a version whose commit is not yet clock-published; such a
   // version is certain to commit (it is being installed under the commit
@@ -277,15 +225,7 @@ WriteResult ConcurrentEngine::Write(size_t worker, ObjectId object,
     StoredVersion conflicting{};
     if (options_.tracer != nullptr) conflicting = store_.Latest(object);
     shard.mu.unlock();
-    if (options_.tracer != nullptr) {
-      ConflictAttribution attribution;
-      attribution.conflicting_session = conflicting.writer;
-      attribution.object = object;
-      attribution.version_ts = conflicting.commit_ts;
-      attribution.type = ConflictType::kWW;
-      attribution.cause = TraceAbortCause::kFirstUpdaterWins;
-      options_.tracer->AttributeAbort(slot.id, attribution);
-    }
+    hooks_.AttributeWriteConflict(slot.id, object, conflicting);
     AbortInternal(slot, AbortReason::kWriteConflict);
     result.status = StepStatus::kAborted;
     result.abort_reason = AbortReason::kWriteConflict;
@@ -299,15 +239,9 @@ WriteResult ConcurrentEngine::Write(size_t worker, ObjectId object,
   record.write_buffer[object] = value;
   record.writes.push_back(SessionWriteRecord{object, key});
   ++slot.stats.writes;
-  if (m_writes_ != nullptr) m_writes_->Increment();
+  if (hooks_.writes != nullptr) hooks_.writes->Increment();
   if (options_.recorder != nullptr) {
-    EngineEvent event;
-    event.kind = EngineEventKind::kWrite;
-    event.session = slot.id;
-    event.step = key;
-    event.object = object;
-    event.value = value;
-    RecordEvent(event);
+    RecordEvent(EngineEvent::Write(slot.id, key, object, value));
   }
   return result;
 }
@@ -333,15 +267,7 @@ CommitResult ConcurrentEngine::Commit(size_t worker) {
             SsiMember{slot.id, &record}, ts, commit_step,
             options_.tracer != nullptr ? &detail : nullptr)) {
       commit_lock.unlock();
-      if (options_.tracer != nullptr) {
-        ConflictAttribution attribution;
-        attribution.conflicting_session = detail.peer;
-        attribution.object = detail.object;
-        attribution.version_ts = detail.version_ts;
-        attribution.type = ConflictType::kRW;
-        attribution.cause = TraceAbortCause::kSsiDangerousStructure;
-        options_.tracer->AttributeAbort(slot.id, attribution);
-      }
+      hooks_.AttributeSsi(slot.id, detail);
       AbortInternal(slot, AbortReason::kSsiDangerousStructure);
       result.status = StepStatus::kAborted;
       result.abort_reason = AbortReason::kSsiDangerousStructure;
@@ -358,8 +284,8 @@ CommitResult ConcurrentEngine::Commit(size_t worker) {
       if (shard.m_versions != nullptr) {
         shard.m_versions->Set(static_cast<int64_t>(shard.versions));
       }
-      if (m_version_chain_len_ != nullptr) {
-        m_version_chain_len_->Observe(store_.ChainOf(object).size());
+      if (hooks_.version_chain_len != nullptr) {
+        hooks_.version_chain_len->Observe(store_.ChainOf(object).size());
       }
       shard.mu.unlock();
     }
@@ -378,9 +304,7 @@ CommitResult ConcurrentEngine::Commit(size_t worker) {
             min_ts, workers_[w].snapshot.load(std::memory_order_seq_cst));
       }
       ssi_.Add(SsiMember{slot.id, &record}, min_ts << 32);
-      if (m_ssi_graph_size_ != nullptr) {
-        m_ssi_graph_size_->Set(static_cast<int64_t>(ssi_.size()));
-      }
+      hooks_.SetSsiGraphSize(ssi_.size());
     }
     commit_lock.unlock();
     // Release row locks only after the clock publish: a writer that finds
@@ -401,14 +325,10 @@ CommitResult ConcurrentEngine::Commit(size_t worker) {
 
   slot.snapshot.store(kNoSnapshot, std::memory_order_seq_cst);
   ++slot.stats.commits;
-  if (m_commits_ != nullptr) m_commits_->Increment();
+  if (hooks_.commits != nullptr) hooks_.commits->Increment();
   if (options_.recorder != nullptr) {
-    EngineEvent event;
-    event.kind = EngineEventKind::kCommit;
-    event.session = slot.id;
-    event.step = record.commit_step;
-    event.commit_ts = record.commit_ts;
-    RecordEvent(event);
+    RecordEvent(
+        EngineEvent::Commit(slot.id, record.commit_step, record.commit_ts));
   }
   if (has_writes && options_.commits_per_epoch != 0) {
     uint64_t n = writer_commits_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -429,29 +349,9 @@ void ConcurrentEngine::AbortInternal(WorkerSlot& slot, AbortReason reason) {
   ReleaseRowLocks(record, slot.id);
   slot.snapshot.store(kNoSnapshot, std::memory_order_seq_cst);
   if (options_.recorder != nullptr) {
-    EngineEvent event;
-    event.kind = EngineEventKind::kAbort;
-    event.session = slot.id;
-    event.step = CurrentKey();
-    event.reason = reason;
-    RecordEvent(event);
+    RecordEvent(EngineEvent::Abort(slot.id, CurrentKey(), reason));
   }
-  switch (reason) {
-    case AbortReason::kWriteConflict:
-      ++slot.stats.aborts_write_conflict;
-      if (m_aborts_write_conflict_ != nullptr) {
-        m_aborts_write_conflict_->Increment();
-      }
-      break;
-    case AbortReason::kSsiDangerousStructure:
-      ++slot.stats.aborts_ssi;
-      if (m_aborts_ssi_ != nullptr) m_aborts_ssi_->Increment();
-      break;
-    default:
-      ++slot.stats.aborts_user;
-      if (m_aborts_user_ != nullptr) m_aborts_user_->Increment();
-      break;
-  }
+  hooks_.CountAbort(slot.stats, reason);
 }
 
 void ConcurrentEngine::ReleaseRowLocks(const SessionRecord& record,
@@ -507,18 +407,7 @@ size_t ConcurrentEngine::RunEpochGc() {
 
   uint64_t epoch = gc_epochs_.fetch_add(1, std::memory_order_relaxed) + 1;
   gc_reclaimed_.fetch_add(reclaimed, std::memory_order_relaxed);
-  if (m_gc_epochs_ != nullptr) m_gc_epochs_->Increment();
-  if (m_gc_reclaimed_ != nullptr) m_gc_reclaimed_->Add(reclaimed);
-  if (m_gc_horizon_ != nullptr) {
-    m_gc_horizon_->Set(static_cast<int64_t>(horizon));
-  }
-  Logger& logger = GlobalLogger();
-  if (logger.enabled(LogLevel::kInfo)) {
-    logger.Log(LogLevel::kInfo, "mvcc.gc", "epoch reclamation",
-               {{"epoch", epoch},
-                {"horizon", horizon},
-                {"reclaimed", static_cast<uint64_t>(reclaimed)}});
-  }
+  hooks_.RecordGcEpoch(epoch, horizon, reclaimed);
   gc_running_.store(false, std::memory_order_seq_cst);
   return reclaimed;
 }

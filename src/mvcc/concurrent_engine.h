@@ -11,17 +11,16 @@
 
 namespace mvrob {
 
-class Counter;
-class Gauge;
-class Histogram;
-class MetricsRegistry;
-class ScheduleRecorder;
-class TxnTracer;
-class Watchdog;
 struct EngineEvent;
 
-/// Tuning knobs for the many-core engine.
-struct ConcurrentEngineOptions {
+/// Tuning knobs for the many-core engine. Beyond the single-threaded
+/// engine's mvcc.* families, a metrics sink also gets per-shard telemetry
+/// (mvcc.shard.versions{shard=K}, mvcc.shard.lock_wait_us{shard=K}) and the
+/// epoch-GC series (mvcc.gc.reclaimed, mvcc.gc.epochs, mvcc.gc.horizon).
+/// Recorder appends are serialized on an internal mutex (sessions still
+/// execute concurrently), and tracer attribution facts are captured under
+/// the owning shard/commit latch, so they agree with the abort decision.
+struct ConcurrentEngineOptions : EngineSinks {
   /// Key-space partitions. Each shard owns object ids congruent to its
   /// index and has one latch guarding its version chains and row locks.
   /// 0 picks a default (4x the worker count, at least 16).
@@ -30,30 +29,7 @@ struct ConcurrentEngineOptions {
   /// crosses an epoch boundary it reclaims every version no published
   /// snapshot can observe (the concurrent replacement for the driver's
   /// periodic Vacuum). 0 disables epoch GC.
-  uint64_t commits_per_epoch = 4096;
-  /// Optional observability sink. Beyond the single-threaded engine's
-  /// mvcc.* families this exports per-shard telemetry
-  /// (mvcc.shard.versions{shard=K}, mvcc.shard.lock_wait_us{shard=K}) and
-  /// the epoch-GC series (mvcc.gc.reclaimed, mvcc.gc.epochs,
-  /// mvcc.gc.horizon), and the SSI registry size after each SSI commit
-  /// (mvcc.ssi.graph_size). Null disables all instrumentation.
-  MetricsRegistry* metrics = nullptr;
-  /// Optional schedule recorder. Event appends are serialized on an
-  /// internal mutex (sessions still execute concurrently); the log
-  /// round-trips through `mvrob validate` exactly like a single-threaded
-  /// recording. Null disables recording.
-  ScheduleRecorder* recorder = nullptr;
-  /// Optional transaction tracer (mvcc/txn_trace.h): causal attribution of
-  /// engine-initiated aborts (first-updater-wins, SSI dangerous
-  /// structure), same nullable zero-cost contract as the single-threaded
-  /// engine. The tracer serializes internally on one mutex; attribution
-  /// facts are captured under the owning shard/commit latch, so they are
-  /// consistent with the abort decision.
-  TxnTracer* tracer = nullptr;
-  /// Optional stall watchdog: epoch GC sweeps run under a monitored scope
-  /// so a sweep wedged on a shard latch produces a symbolized stall dump.
-  /// Null disables (the usual zero-cost-when-detached contract).
-  Watchdog* watchdog = nullptr;
+  uint64_t commits_per_epoch = kCommitsPerEpoch;
 };
 
 /// The many-core MVCC engine: the same Postgres-modeled semantics as
@@ -170,6 +146,9 @@ class ConcurrentEngine {
            (seq_.load(std::memory_order_relaxed) & 0xffffffffull);
   }
   Shard& ShardOf(ObjectId object);
+  /// The clock sample for an operation of `record`, taken under a shard
+  /// latch; an SI/SSI session's first operation also takes its snapshot.
+  Timestamp SampleClock(WorkerSlot& slot, SessionRecord& record);
   void LockShard(Shard& shard);
   void AbortInternal(WorkerSlot& slot, AbortReason reason);
   void ReleaseRowLocks(const SessionRecord& record, SessionId id);
@@ -203,20 +182,7 @@ class ConcurrentEngine {
 
   std::mutex record_mu_;
 
-  // Engine-wide metric handles (null when options_.metrics is null).
-  Counter* m_begins_ = nullptr;
-  Counter* m_reads_ = nullptr;
-  Counter* m_writes_ = nullptr;
-  Counter* m_commits_ = nullptr;
-  Counter* m_aborts_write_conflict_ = nullptr;
-  Counter* m_aborts_ssi_ = nullptr;
-  Counter* m_aborts_user_ = nullptr;
-  Counter* m_blocked_steps_ = nullptr;
-  Histogram* m_version_chain_len_ = nullptr;
-  Counter* m_gc_reclaimed_ = nullptr;
-  Counter* m_gc_epochs_ = nullptr;
-  Gauge* m_gc_horizon_ = nullptr;
-  Gauge* m_ssi_graph_size_ = nullptr;
+  EngineHooks hooks_;
 };
 
 }  // namespace mvrob

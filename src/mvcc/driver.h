@@ -3,20 +3,21 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "iso/allocation.h"
+#include "mvcc/concurrent_engine.h"
 #include "mvcc/engine.h"
+#include "mvcc/trace.h"
 #include "txn/transaction_set.h"
 
 namespace mvrob {
 
-class TxnTracer;
-class Watchdog;
 class WindowedCounter;
 class WindowedHistogram;
 
-/// Sliding-window instruments the random driver updates per commit/abort,
+/// Sliding-window instruments the drivers update per commit/abort,
 /// keyed by the transaction's isolation level — the live per-level
 /// throughput / abort-rate / latency series behind `mvrob serve`. All
 /// pointers may be null (that series is simply skipped); resolve a full
@@ -49,6 +50,8 @@ struct DriverReport {
   uint64_t deadlock_victims = 0;
   /// For exact runs: the session executing each program transaction.
   std::vector<SessionId> session_of_program;
+
+  friend bool operator==(const DriverReport&, const DriverReport&) = default;
 };
 
 /// Replays an exact operation interleaving (an order over `programs` as
@@ -65,59 +68,45 @@ StatusOr<DriverReport> RunExactInterleaving(Engine& engine,
                                             const Allocation& alloc,
                                             const std::vector<OpRef>& order);
 
-/// Options for randomized concurrent execution.
-struct RandomRunOptions {
-  /// Programs concurrently in flight.
+/// Options for a randomized run. The inherited sinks (EngineSinks) are set
+/// once here: RunWorkload hands them to the engine it builds, and the
+/// drivers report to them too — metrics gets the driver.* counters and the
+/// driver's phase span, the tracer one flow per logical program execution
+/// with one attempt span per engine session (plus attribution of the
+/// driver's own aborts), and the watchdog a heartbeat scope per driving
+/// thread. RunRandom and RunConcurrent on a hand-built engine leave the
+/// engine's sinks as it was built. Attaching any sink never changes
+/// scheduling: runs stay bit-identical.
+struct RandomRunOptions : EngineSinks {
+  /// Programs concurrently in flight (single-threaded engine; the
+  /// many-core engine runs one session per worker).
   int concurrency = 4;
   /// Retries per program after engine-initiated aborts.
   int max_retries = 5;
   uint64_t seed = 0;
   /// Hard stop (steps across all sessions) against livelock.
   uint64_t max_steps = 10'000'000;
-  /// Optional observability sink for driver-level counters (driver.runs,
-  /// driver.committed, ...) and the driver.run_random phase span. Null
-  /// disables; does not affect the run.
-  MetricsRegistry* metrics = nullptr;
   /// Cooperative cancellation: when non-null, checked between steps, and
   /// the run returns as soon as it is set. Required for serve mode, where
   /// the loop otherwise never ends.
   const std::atomic<bool>* stop = nullptr;
   /// Continuous (serve) mode: a program that commits or exhausts its
   /// retries is reset and re-enqueued, so the run ends only via `stop` or
-  /// `max_steps`. Version GC is epoch-driven (see commits_per_epoch) to
-  /// keep the version store bounded. Scheduling stays deterministic for a
-  /// fixed seed and step budget.
+  /// `max_steps`. Version GC runs every kCommitsPerEpoch commits to keep
+  /// the version store bounded. Scheduling stays deterministic for a fixed
+  /// seed and step budget.
   bool continuous = false;
   /// Live windowed per-isolation-level instruments (serve mode). Null
-  /// disables; like `metrics`, attaching it never changes the run.
+  /// disables; like the sinks, attaching it never changes the run.
   const LiveTelemetry* live = nullptr;
-  /// Engine worker threads. 1 selects the deterministic single-threaded
-  /// driver (RunRandom); > 1 selects the many-core engine path
-  /// (RunConcurrent in mvcc/concurrent_driver.h), which executes programs
-  /// on engine_threads OS threads. Ignored by RunRandom itself.
+  /// Engine worker threads for RunWorkload: 1 builds the deterministic
+  /// single-threaded Engine and runs RunRandom; > 1 builds the many-core
+  /// ConcurrentEngine and runs RunConcurrent on that many OS threads.
   int engine_threads = 1;
-  // Note: key-space sharding is an engine-construction knob, not a run
-  // knob — set ConcurrentEngineOptions::num_shards (CLI --engine-shards)
-  // when building the ConcurrentEngine.
-  /// Continuous mode: commits per version-reclamation epoch. Every
-  /// commits_per_epoch commits the driver (or the concurrent engine)
-  /// reclaims versions below the oldest live snapshot and logs one
-  /// structured "mvcc.gc" line with the reclaimed count. 0 disables GC.
-  uint64_t commits_per_epoch = 4096;
-  /// Optional transaction tracer (mvcc/txn_trace.h). The driver owns the
-  /// flow lifecycle: one flow per logical program execution, one attempt
-  /// span per engine session, ops on sampled flows, and attribution of
-  /// its own aborts (deadlock victims; the concurrent driver's no-wait
-  /// lock conflicts). Null disables tracing entirely; attaching a tracer
-  /// never changes scheduling — runs stay bit-identical.
-  TxnTracer* tracer = nullptr;
-  /// Optional stall watchdog (common/watchdog.h). The drivers register a
-  /// heartbeat-carrying scope per driving thread and beat it as steps
-  /// retire, so a wedged engine phase (latch cycle, runaway GC sweep)
-  /// surfaces as a symbolized stall dump instead of silent hang. Null
-  /// (the default) disables monitoring; like tracer/metrics, attaching it
-  /// never changes the run.
-  Watchdog* watchdog = nullptr;
+  /// Key-space shards of the many-core engine (0 = auto). Only meaningful
+  /// with engine_threads > 1: the single-threaded engine is unsharded, and
+  /// the CLI and ValidateEngineRuns reject a shard count without threads.
+  size_t engine_shards = 0;
 };
 
 /// Executes every program of `programs` once (plus retries) under the
@@ -128,6 +117,60 @@ struct RandomRunOptions {
 DriverReport RunRandom(Engine& engine, const TransactionSet& programs,
                        const Allocation& alloc,
                        const RandomRunOptions& options);
+
+/// The many-core counterpart of RunRandom: executes `programs` under
+/// `alloc` on engine.num_workers() OS threads, each worker driving its own
+/// round-robin share of the programs through the sharded engine.
+///
+/// Differences from the deterministic driver:
+///
+///  - scheduling is the OS scheduler, not a seeded shuffle, so runs are
+///    NOT reproducible step for step (the seed still fixes each worker's
+///    program order and value stream). Correctness is checked after the
+///    fact: the recorded run must round-trip through the validator and be
+///    equivalent to a deterministic interleaving (mvcc/roundtrip.h);
+///  - no-wait locking: a write that hits a foreign row lock aborts the
+///    attempt and retries after a yield instead of waiting, so there are
+///    no cross-thread wait cycles to detect. Lock-conflict aborts are
+///    counted in DriverReport::deadlock_victims (and on the live
+///    "deadlock" abort series) and do not consume the program's retry
+///    budget — only engine-initiated aborts (first-updater-wins, SSI) do.
+///
+/// max_steps is honored approximately (the budget is checked in small
+/// batches per worker); the effective concurrency is the engine's worker
+/// count. session_of_program is left empty.
+DriverReport RunConcurrent(ConcurrentEngine& engine,
+                           const TransactionSet& programs,
+                           const Allocation& alloc,
+                           const RandomRunOptions& options);
+
+/// What RunWorkload did: the driver's report, the engine's counters, and
+/// the engine itself, kept so the committed run can be exported.
+class WorkloadRun {
+ public:
+  const DriverReport& report() const { return report_; }
+  const EngineStats& stats() const { return stats_; }
+  /// The committed sessions as a formal multiversion schedule; fails like
+  /// ExportCommittedRun (a session that wrote an object twice).
+  StatusOr<ExportedRun> Export(const TransactionSet& object_names) const;
+
+ private:
+  friend WorkloadRun RunWorkload(const TransactionSet&, const Allocation&,
+                                 const RandomRunOptions&);
+
+  DriverReport report_;
+  EngineStats stats_;
+  std::unique_ptr<Engine> engine_;
+  std::unique_ptr<ConcurrentEngine> concurrent_engine_;
+};
+
+/// The one run path: builds the single-threaded Engine when
+/// options.engine_threads == 1 and the many-core ConcurrentEngine
+/// otherwise, hands it the options' sinks (and shard count), and runs
+/// RunRandom or RunConcurrent on it.
+WorkloadRun RunWorkload(const TransactionSet& programs,
+                        const Allocation& alloc,
+                        const RandomRunOptions& options);
 
 }  // namespace mvrob
 

@@ -2,29 +2,100 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 
+#include "common/log.h"
 #include "common/metrics.h"
+#include "common/watchdog.h"
 #include "mvcc/recorder.h"
 #include "mvcc/txn_trace.h"
 
 namespace mvrob {
 
-Engine::Engine(size_t num_objects, EngineOptions options)
-    : options_(options), store_(num_objects) {
-  if (MetricsRegistry* metrics = options_.metrics; metrics != nullptr) {
-    m_begins_ = &metrics->counter("mvcc.begins");
-    m_reads_ = &metrics->counter("mvcc.reads");
-    m_writes_ = &metrics->counter("mvcc.writes");
-    m_commits_ = &metrics->counter("mvcc.commits");
-    m_aborts_write_conflict_ = &metrics->counter("mvcc.aborts.write_conflict");
-    m_aborts_ssi_ = &metrics->counter("mvcc.aborts.ssi");
-    m_aborts_user_ = &metrics->counter("mvcc.aborts.user");
-    m_blocked_steps_ = &metrics->counter("mvcc.blocked_steps");
-    m_ssi_false_positives_ = &metrics->counter("mvcc.ssi_false_positives");
-    m_ssi_graph_size_ = &metrics->gauge("mvcc.ssi.graph_size");
-    m_version_chain_len_ = &metrics->histogram("mvcc.version_chain_len");
+EngineHooks::EngineHooks(const EngineSinks& sinks)
+    : metrics(sinks.metrics), tracer(sinks.tracer) {
+  if (metrics != nullptr) {
+    begins = &metrics->counter("mvcc.begins");
+    reads = &metrics->counter("mvcc.reads");
+    writes = &metrics->counter("mvcc.writes");
+    commits = &metrics->counter("mvcc.commits");
+    aborts_write_conflict = &metrics->counter("mvcc.aborts.write_conflict");
+    aborts_ssi = &metrics->counter("mvcc.aborts.ssi");
+    aborts_user = &metrics->counter("mvcc.aborts.user");
+    blocked_steps = &metrics->counter("mvcc.blocked_steps");
+    ssi_false_positives = &metrics->counter("mvcc.ssi_false_positives");
+    ssi_graph_size = &metrics->gauge("mvcc.ssi.graph_size");
+    version_chain_len = &metrics->histogram("mvcc.version_chain_len");
   }
 }
+
+void EngineHooks::CountAbort(EngineStats& stats, AbortReason reason) const {
+  Counter* counter;
+  switch (reason) {
+    case AbortReason::kWriteConflict:
+      ++stats.aborts_write_conflict;
+      counter = aborts_write_conflict;
+      break;
+    case AbortReason::kSsiDangerousStructure:
+      ++stats.aborts_ssi;
+      counter = aborts_ssi;
+      break;
+    default:
+      ++stats.aborts_user;
+      counter = aborts_user;
+      break;
+  }
+  if (counter != nullptr) counter->Increment();
+}
+
+void EngineHooks::AttributeWriteConflict(
+    SessionId victim, ObjectId object, const StoredVersion& conflicting) const {
+  if (tracer == nullptr) return;
+  ConflictAttribution attribution;
+  attribution.conflicting_session = conflicting.writer;
+  attribution.object = object;
+  attribution.version_ts = conflicting.commit_ts;
+  attribution.type = ConflictType::kWW;
+  attribution.cause = TraceAbortCause::kFirstUpdaterWins;
+  tracer->AttributeAbort(victim, attribution);
+}
+
+void EngineHooks::AttributeSsi(SessionId victim,
+                               const SsiConflictDetail& detail) const {
+  if (tracer == nullptr) return;
+  ConflictAttribution attribution;
+  attribution.conflicting_session = detail.peer;
+  attribution.object = detail.object;
+  attribution.version_ts = detail.version_ts;
+  attribution.type = ConflictType::kRW;
+  attribution.cause = TraceAbortCause::kSsiDangerousStructure;
+  tracer->AttributeAbort(victim, attribution);
+}
+
+void EngineHooks::SetSsiGraphSize(size_t size) const {
+  if (ssi_graph_size != nullptr) {
+    ssi_graph_size->Set(static_cast<int64_t>(size));
+  }
+}
+
+void EngineHooks::RecordGcEpoch(uint64_t epoch, Timestamp horizon,
+                                size_t reclaimed) const {
+  if (metrics != nullptr) {
+    metrics->counter("mvcc.gc.epochs").Increment();
+    metrics->counter("mvcc.gc.reclaimed").Add(reclaimed);
+    metrics->gauge("mvcc.gc.horizon").Set(static_cast<int64_t>(horizon));
+  }
+  Logger& logger = GlobalLogger();
+  if (logger.enabled(LogLevel::kInfo)) {
+    logger.Log(LogLevel::kInfo, "mvcc.gc", "epoch reclamation",
+               {{"epoch", epoch},
+                {"horizon", horizon},
+                {"reclaimed", static_cast<uint64_t>(reclaimed)}});
+  }
+}
+
+Engine::Engine(size_t num_objects, EngineOptions options)
+    : options_(options), hooks_(options), store_(num_objects) {}
 
 SessionId Engine::Begin(IsolationLevel level) {
   SessionRecord record;
@@ -35,17 +106,11 @@ SessionId Engine::Begin(IsolationLevel level) {
   record.snapshot_ts = clock_;
   sessions_.push_back(std::move(record));
   ++stats_.begins;
-  if (m_begins_ != nullptr) m_begins_->Increment();
+  if (hooks_.begins != nullptr) hooks_.begins->Increment();
   SessionId id = static_cast<SessionId>(sessions_.size() - 1);
   active_.push_back(id);
   if (options_.recorder != nullptr) {
-    EngineEvent event;
-    event.kind = EngineEventKind::kBegin;
-    event.session = id;
-    event.step = step_;
-    event.level = level;
-    event.version_ts = sessions_[id].snapshot_ts;
-    options_.recorder->Record(event);
+    options_.recorder->Record(EngineEvent::Begin(id, step_, level, clock_));
   }
   return id;
 }
@@ -55,48 +120,30 @@ ReadResult Engine::Read(SessionId session, ObjectId object) {
   assert(record.state == TxnState::kActive);
   ++step_;
   ++stats_.reads;
-  if (m_reads_ != nullptr) m_reads_->Increment();
+  if (hooks_.reads != nullptr) hooks_.reads->Increment();
   if (record.first_step == 0) record.first_step = step_;
 
   ReadResult result;
+  Timestamp version_ts = 0;
   // Read-your-own-writes: the buffered value wins.
   auto own = record.write_buffer.find(object);
   if (own != record.write_buffer.end()) {
     result.value = own->second;
     result.version_writer = session;
     result.own_write = true;
-    record.reads.push_back(SessionReadRecord{object, /*version_ts=*/0,
-                                             session, step_});
-    if (options_.recorder != nullptr) {
-      EngineEvent event;
-      event.kind = EngineEventKind::kRead;
-      event.session = session;
-      event.step = step_;
-      event.object = object;
-      event.value = result.value;
-      event.version_writer = session;
-      event.own_write = true;
-      options_.recorder->Record(event);
-    }
-    return result;
+  } else {
+    Timestamp read_ts =
+        record.level == IsolationLevel::kRC ? clock_ : record.snapshot_ts;
+    const StoredVersion& version = store_.SnapshotRead(object, read_ts);
+    result.value = version.value;
+    result.version_writer = version.writer;
+    version_ts = version.commit_ts;
   }
-  Timestamp read_ts =
-      record.level == IsolationLevel::kRC ? clock_ : record.snapshot_ts;
-  const StoredVersion& version = store_.SnapshotRead(object, read_ts);
-  result.value = version.value;
-  result.version_writer = version.writer;
   record.reads.push_back(
-      SessionReadRecord{object, version.commit_ts, version.writer, step_});
+      SessionReadRecord{object, version_ts, result.version_writer, step_});
   if (options_.recorder != nullptr) {
-    EngineEvent event;
-    event.kind = EngineEventKind::kRead;
-    event.session = session;
-    event.step = step_;
-    event.object = object;
-    event.value = result.value;
-    event.version_writer = version.writer;
-    event.version_ts = version.commit_ts;
-    options_.recorder->Record(event);
+    options_.recorder->Record(
+        EngineEvent::Read(session, step_, object, result, version_ts));
   }
   return result;
 }
@@ -110,17 +157,12 @@ WriteResult Engine::Write(SessionId session, ObjectId object, Value value) {
   auto lock = row_locks_.find(object);
   if (lock != row_locks_.end() && lock->second != session) {
     ++stats_.blocked_steps;
-    if (m_blocked_steps_ != nullptr) m_blocked_steps_->Increment();
+    if (hooks_.blocked_steps != nullptr) hooks_.blocked_steps->Increment();
     result.status = StepStatus::kBlocked;
     result.blocker = lock->second;
     if (options_.recorder != nullptr) {
-      EngineEvent event;
-      event.kind = EngineEventKind::kBlocked;
-      event.session = session;
-      event.step = step_;
-      event.object = object;
-      event.version_writer = lock->second;
-      options_.recorder->Record(event);
+      options_.recorder->Record(
+          EngineEvent::Blocked(session, step_, object, lock->second));
     }
     return result;
   }
@@ -129,18 +171,9 @@ WriteResult Engine::Write(SessionId session, ObjectId object, Value value) {
   // (Definition 2.3).
   if (record.level != IsolationLevel::kRC &&
       store_.HasVersionAfter(object, record.snapshot_ts)) {
-    if (options_.tracer != nullptr) {
-      // The conflicting version is the newest one: HasVersionAfter tests
-      // exactly its commit timestamp against the snapshot.
-      const StoredVersion& conflicting = store_.Latest(object);
-      ConflictAttribution attribution;
-      attribution.conflicting_session = conflicting.writer;
-      attribution.object = object;
-      attribution.version_ts = conflicting.commit_ts;
-      attribution.type = ConflictType::kWW;
-      attribution.cause = TraceAbortCause::kFirstUpdaterWins;
-      options_.tracer->AttributeAbort(session, attribution);
-    }
+    // The conflicting version is the newest one: HasVersionAfter tests
+    // exactly its commit timestamp against the snapshot.
+    hooks_.AttributeWriteConflict(session, object, store_.Latest(object));
     AbortInternal(session, AbortReason::kWriteConflict);
     result.status = StepStatus::kAborted;
     result.abort_reason = AbortReason::kWriteConflict;
@@ -148,19 +181,14 @@ WriteResult Engine::Write(SessionId session, ObjectId object, Value value) {
   }
   ++step_;
   ++stats_.writes;
-  if (m_writes_ != nullptr) m_writes_->Increment();
+  if (hooks_.writes != nullptr) hooks_.writes->Increment();
   if (record.first_step == 0) record.first_step = step_;
   row_locks_[object] = session;
   record.write_buffer[object] = value;
   record.writes.push_back(SessionWriteRecord{object, step_});
   if (options_.recorder != nullptr) {
-    EngineEvent event;
-    event.kind = EngineEventKind::kWrite;
-    event.session = session;
-    event.step = step_;
-    event.object = object;
-    event.value = value;
-    options_.recorder->Record(event);
+    options_.recorder->Record(
+        EngineEvent::Write(session, step_, object, value));
   }
   return result;
 }
@@ -188,28 +216,21 @@ CommitResult Engine::Commit(SessionId session) {
       ssi_abort =
           ssi_.WouldCreatePivot(active, candidate, clock_ + 1, step_ + 1);
       if (ssi_abort &&
-          (m_ssi_false_positives_ != nullptr || options_.tracer != nullptr)) {
+          (hooks_.ssi_false_positives != nullptr ||
+           options_.tracer != nullptr)) {
         // Conservative abort the exact check disagrees with = false
         // positive. Only evaluated when someone is watching; the verdict
         // is unchanged.
         const bool exact = ssi_.WouldCompleteDangerousStructure(
             candidate, clock_ + 1, step_ + 1, &detail);
-        if (!exact && m_ssi_false_positives_ != nullptr) {
-          m_ssi_false_positives_->Increment();
+        if (!exact && hooks_.ssi_false_positives != nullptr) {
+          hooks_.ssi_false_positives->Increment();
         }
       }
     }
   }
   if (ssi_abort) {
-    if (options_.tracer != nullptr) {
-      ConflictAttribution attribution;
-      attribution.conflicting_session = detail.peer;
-      attribution.object = detail.object;
-      attribution.version_ts = detail.version_ts;
-      attribution.type = ConflictType::kRW;
-      attribution.cause = TraceAbortCause::kSsiDangerousStructure;
-      options_.tracer->AttributeAbort(session, attribution);
-    }
+    hooks_.AttributeSsi(session, detail);
     AbortInternal(session, AbortReason::kSsiDangerousStructure);
     result.status = StepStatus::kAborted;
     result.abort_reason = AbortReason::kSsiDangerousStructure;
@@ -224,27 +245,20 @@ CommitResult Engine::Commit(SessionId session) {
   for (const auto& [object, value] : record.write_buffer) {
     store_.Install(object, StoredVersion{value, session, commit_ts});
     row_locks_.erase(object);
-    if (m_version_chain_len_ != nullptr) {
-      m_version_chain_len_->Observe(store_.ChainOf(object).size());
+    if (hooks_.version_chain_len != nullptr) {
+      hooks_.version_chain_len->Observe(store_.ChainOf(object).size());
     }
   }
   RemoveActive(session);
   if (record.level == IsolationLevel::kSSI) {
     ssi_.Add(candidate, SsiHorizon());
-    if (m_ssi_graph_size_ != nullptr) {
-      m_ssi_graph_size_->Set(static_cast<int64_t>(ssi_.size()));
-    }
+    hooks_.SetSsiGraphSize(ssi_.size());
   }
   ++stats_.commits;
-  if (m_commits_ != nullptr) m_commits_->Increment();
+  if (hooks_.commits != nullptr) hooks_.commits->Increment();
   result.commit_ts = commit_ts;
   if (options_.recorder != nullptr) {
-    EngineEvent event;
-    event.kind = EngineEventKind::kCommit;
-    event.session = session;
-    event.step = step_;
-    event.commit_ts = commit_ts;
-    options_.recorder->Record(event);
+    options_.recorder->Record(EngineEvent::Commit(session, step_, commit_ts));
   }
   return result;
 }
@@ -253,7 +267,17 @@ void Engine::Abort(SessionId session) {
   AbortInternal(session, AbortReason::kUser);
 }
 
-size_t Engine::Vacuum() {
+size_t Engine::Vacuum() { return store_.Vacuum(VacuumHorizon()); }
+
+size_t Engine::RunEpochGc() {
+  WatchdogScope watch(options_.watchdog, "mvcc.gc", std::chrono::seconds(10));
+  const Timestamp horizon = VacuumHorizon();
+  const size_t reclaimed = store_.Vacuum(horizon);
+  hooks_.RecordGcEpoch(++gc_epochs_, horizon, reclaimed);
+  return reclaimed;
+}
+
+Timestamp Engine::VacuumHorizon() const {
   // RC sessions always read the newest committed version, so only snapshot
   // sessions pin history.
   Timestamp horizon = clock_;
@@ -262,7 +286,7 @@ size_t Engine::Vacuum() {
       horizon = std::min(horizon, sessions_[id].snapshot_ts);
     }
   }
-  return store_.Vacuum(horizon);
+  return horizon;
 }
 
 void Engine::RemoveActive(SessionId session) {
@@ -298,29 +322,9 @@ void Engine::AbortInternal(SessionId session, AbortReason reason) {
     }
   }
   if (options_.recorder != nullptr) {
-    EngineEvent event;
-    event.kind = EngineEventKind::kAbort;
-    event.session = session;
-    event.step = step_;
-    event.reason = reason;
-    options_.recorder->Record(event);
+    options_.recorder->Record(EngineEvent::Abort(session, step_, reason));
   }
-  switch (reason) {
-    case AbortReason::kWriteConflict:
-      ++stats_.aborts_write_conflict;
-      if (m_aborts_write_conflict_ != nullptr) {
-        m_aborts_write_conflict_->Increment();
-      }
-      break;
-    case AbortReason::kSsiDangerousStructure:
-      ++stats_.aborts_ssi;
-      if (m_aborts_ssi_ != nullptr) m_aborts_ssi_->Increment();
-      break;
-    default:
-      ++stats_.aborts_user;
-      if (m_aborts_user_ != nullptr) m_aborts_user_->Increment();
-      break;
-  }
+  hooks_.CountAbort(stats_, reason);
 }
 
 }  // namespace mvrob

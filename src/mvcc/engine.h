@@ -18,6 +18,7 @@ class Histogram;
 class MetricsRegistry;
 class ScheduleRecorder;
 class TxnTracer;
+class Watchdog;
 
 /// Lifecycle of an engine session.
 enum class TxnState : uint8_t { kActive, kCommitted, kAborted };
@@ -80,6 +81,8 @@ struct EngineStats {
   uint64_t aborts_ssi = 0;
   uint64_t aborts_user = 0;
   uint64_t blocked_steps = 0;
+
+  friend bool operator==(const EngineStats&, const EngineStats&) = default;
 };
 
 /// Read/write record kept per session for SSI tracking and trace export.
@@ -123,30 +126,81 @@ enum class SsiMode : uint8_t {
   kConservative,
 };
 
-struct EngineOptions {
-  SsiMode ssi_mode = SsiMode::kExact;
-  /// Optional observability sink (common/metrics.h). Null disables all
-  /// instrumentation. The gauge mvcc.ssi.graph_size holds the SSI
-  /// registry's size after each SSI commit. With kConservative SSI mode and
-  /// a sink attached, the engine additionally runs the exact Definition 2.4
-  /// check on every conservative abort and counts the disagreements as
-  /// mvcc.ssi_false_positives (conservative aborts the exact check would
-  /// not have taken).
+/// Commits per version-reclamation epoch, shared by both engines:
+/// a continuous RunRandom vacuums the single-threaded engine every
+/// kCommitsPerEpoch commits, and the many-core engine sweeps itself every
+/// kCommitsPerEpoch writer commits (ConcurrentEngineOptions's default).
+inline constexpr uint64_t kCommitsPerEpoch = 4096;
+
+/// The observability sinks an engine run reports to, set once on the run
+/// options (RandomRunOptions) and passed to whichever engine runs. Every
+/// pointer is nullable; a null sink costs one null test per hook, and an
+/// attached one never changes a run.
+struct EngineSinks {
+  /// mvcc.* counters, gauges and histograms (common/metrics.h). With
+  /// Engine's kConservative SSI mode the engine also runs the exact
+  /// Definition 2.4 check on every conservative abort and counts the
+  /// disagreements as mvcc.ssi_false_positives.
   MetricsRegistry* metrics = nullptr;
-  /// Optional schedule recorder (mvcc/recorder.h). When attached, the
-  /// engine logs every begin/read/write/commit/abort (and blocked write)
-  /// as an EngineEvent; the log can be exported as a replayable schedule
-  /// file or a Chrome trace, and fed back through the formal checker by
-  /// the round-trip validator. Null disables recording.
+  /// Schedule recorder (mvcc/recorder.h): every begin/read/write/commit/
+  /// abort (and blocked write) as an EngineEvent, exportable as a
+  /// replayable schedule file or a Chrome trace.
   ScheduleRecorder* recorder = nullptr;
-  /// Optional transaction tracer (mvcc/txn_trace.h). When attached, the
-  /// engine reports a causal attribution at each abort it initiates —
-  /// first-updater-wins (the conflicting version's writer) and SSI
-  /// dangerous structure (the rw-edge neighbor) — to the tracer's
-  /// conflict table and to the victim's sampled attempt span. Same
-  /// zero-cost contract as the other sinks: null disables every call
-  /// site, and the tracer never influences engine decisions.
+  /// Transaction tracer (mvcc/txn_trace.h): the causal attribution of
+  /// each abort the engine initiates — first-updater-wins (the
+  /// conflicting version's writer) and SSI dangerous structure (the
+  /// rw-edge neighbor). The tracer never influences engine decisions.
   TxnTracer* tracer = nullptr;
+  /// Stall watchdog (common/watchdog.h): version GC sweeps run under a
+  /// monitored scope, so a wedged sweep produces a symbolized stall dump.
+  Watchdog* watchdog = nullptr;
+};
+
+/// The single-threaded engine's sinks plus its SSI detection mode.
+struct EngineOptions : EngineSinks {
+  SsiMode ssi_mode = SsiMode::kExact;
+};
+
+/// The sink core both engines share: the tracer plus the mvcc.* handles
+/// resolved once at construction (all null without a registry), so every
+/// instrumented step costs one relaxed atomic add, or one null test when
+/// detached. The engine supplies the step, key or version; nothing here
+/// depends on which engine calls it.
+struct EngineHooks {
+  explicit EngineHooks(const EngineSinks& sinks);
+
+  /// Counts an abort into `stats` and its mvcc.aborts.* counter.
+  void CountAbort(EngineStats& stats, AbortReason reason) const;
+  /// Tracer attribution of a first-updater-wins abort of `victim`:
+  /// `conflicting` is the newest version of `object`, the one committed
+  /// after the victim's snapshot.
+  void AttributeWriteConflict(SessionId victim, ObjectId object,
+                              const StoredVersion& conflicting) const;
+  /// Tracer attribution of an SSI dangerous-structure abort of `victim`.
+  void AttributeSsi(SessionId victim, const SsiConflictDetail& detail) const;
+  /// mvcc.ssi.graph_size after an SSI commit.
+  void SetSsiGraphSize(size_t size) const;
+  /// One version-reclamation epoch: mvcc.gc.epochs, mvcc.gc.reclaimed and
+  /// the mvcc.gc.horizon gauge (looked up by name, as epochs are rare),
+  /// plus one structured mvcc.gc log line.
+  void RecordGcEpoch(uint64_t epoch, Timestamp horizon,
+                     size_t reclaimed) const;
+
+  MetricsRegistry* metrics = nullptr;
+  TxnTracer* tracer = nullptr;
+  Counter* begins = nullptr;
+  Counter* reads = nullptr;
+  Counter* writes = nullptr;
+  Counter* commits = nullptr;
+  Counter* aborts_write_conflict = nullptr;
+  Counter* aborts_ssi = nullptr;
+  Counter* aborts_user = nullptr;
+  Counter* blocked_steps = nullptr;
+  /// Conservative SSI aborts the exact check would not take (Engine's
+  /// kConservative mode only; the many-core engine is always exact).
+  Counter* ssi_false_positives = nullptr;
+  Gauge* ssi_graph_size = nullptr;
+  Histogram* version_chain_len = nullptr;
 };
 
 /// An in-memory multiversion engine executing transactions under
@@ -196,6 +250,11 @@ class Engine {
   /// O(active sessions + versions), not O(sessions ever begun).
   size_t Vacuum();
 
+  /// One garbage-collection epoch, as a continuous RunRandom runs every
+  /// kCommitsPerEpoch commits: Vacuum under a "mvcc.gc" watchdog scope,
+  /// reported through EngineHooks::RecordGcEpoch. Returns versions dropped.
+  size_t RunEpochGc();
+
   const SessionRecord& session(SessionId id) const { return sessions_[id]; }
   size_t num_sessions() const { return sessions_.size(); }
   const VersionStore& store() const { return store_; }
@@ -209,21 +268,11 @@ class Engine {
   void RemoveActive(SessionId session);
   /// Lower bound on the first step of every active and future SSI session.
   uint64_t SsiHorizon() const;
+  /// Oldest snapshot an active session can still read at.
+  Timestamp VacuumHorizon() const;
 
   EngineOptions options_;
-  // Metric handles resolved once at construction (one relaxed atomic add
-  // per instrumented step); all null when options_.metrics is null.
-  Counter* m_begins_ = nullptr;
-  Counter* m_reads_ = nullptr;
-  Counter* m_writes_ = nullptr;
-  Counter* m_commits_ = nullptr;
-  Counter* m_aborts_write_conflict_ = nullptr;
-  Counter* m_aborts_ssi_ = nullptr;
-  Counter* m_aborts_user_ = nullptr;
-  Counter* m_blocked_steps_ = nullptr;
-  Counter* m_ssi_false_positives_ = nullptr;
-  Gauge* m_ssi_graph_size_ = nullptr;
-  Histogram* m_version_chain_len_ = nullptr;
+  EngineHooks hooks_;
   VersionStore store_;
   /// Every session ever begun, indexed by id; the deque keeps record
   /// addresses stable for the SSI registry.
@@ -235,6 +284,7 @@ class Engine {
   std::map<ObjectId, SessionId> row_locks_;
   Timestamp clock_ = 0;
   uint64_t step_ = 0;
+  uint64_t gc_epochs_ = 0;
   EngineStats stats_;
 };
 

@@ -47,11 +47,48 @@ struct EngineEvent {
   AbortReason reason = AbortReason::kNone;   // kAbort.
   Timestamp commit_ts = 0;                   // kCommit.
 
+  // One builder per kind, shared by both engines; the engine supplies the
+  // step (Engine's counter or ConcurrentEngine's key).
+  static EngineEvent Begin(SessionId session, uint64_t step,
+                           IsolationLevel level, Timestamp snapshot_ts) {
+    return {.kind = EngineEventKind::kBegin, .session = session,
+            .step = step, .level = level, .version_ts = snapshot_ts};
+  }
+  /// `version_ts` is the observed version's commit timestamp (0 for an
+  /// own-buffer read).
+  static EngineEvent Read(SessionId session, uint64_t step, ObjectId object,
+                          const ReadResult& result, Timestamp version_ts) {
+    return {.kind = EngineEventKind::kRead, .session = session,
+            .step = step, .object = object, .value = result.value,
+            .version_writer = result.version_writer,
+            .version_ts = version_ts, .own_write = result.own_write};
+  }
+  static EngineEvent Write(SessionId session, uint64_t step, ObjectId object,
+                           Value value) {
+    return {.kind = EngineEventKind::kWrite, .session = session,
+            .step = step, .object = object, .value = value};
+  }
+  static EngineEvent Blocked(SessionId session, uint64_t step,
+                             ObjectId object, SessionId blocker) {
+    return {.kind = EngineEventKind::kBlocked, .session = session,
+            .step = step, .object = object, .version_writer = blocker};
+  }
+  static EngineEvent Commit(SessionId session, uint64_t step,
+                            Timestamp commit_ts) {
+    return {.kind = EngineEventKind::kCommit, .session = session,
+            .step = step, .commit_ts = commit_ts};
+  }
+  static EngineEvent Abort(SessionId session, uint64_t step,
+                           AbortReason reason) {
+    return {.kind = EngineEventKind::kAbort, .session = session,
+            .step = step, .reason = reason};
+  }
+
   friend bool operator==(const EngineEvent&, const EngineEvent&) = default;
 };
 
-/// A ring-buffered event log for the MVCC engine: attach via
-/// EngineOptions::recorder and the engine records every
+/// A ring-buffered event log for the MVCC engines: attach via
+/// EngineSinks::recorder and the engine records every
 /// begin/read/write/commit/abort (and blocked write) as it executes. The
 /// buffer keeps the most recent `capacity` events; older events are
 /// dropped and counted, so recording long runs is safe at fixed memory.

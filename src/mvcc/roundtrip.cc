@@ -1,11 +1,8 @@
 #include "mvcc/roundtrip.h"
 
-#include <optional>
-
 #include "common/metrics.h"
 #include "common/string_util.h"
 #include "iso/allowed.h"
-#include "mvcc/concurrent_driver.h"
 #include "mvcc/driver.h"
 #include "mvcc/trace.h"
 #include "schedule/anomaly.h"
@@ -49,6 +46,45 @@ std::string RoundTripReport::ToString() const {
   return out;
 }
 
+Status ReplayOnDeterministicEngine(const ExportedRun& run) {
+  // Unsinked, so a validated run's commits are not counted twice.
+  Engine oracle(run.txns.num_objects());
+  StatusOr<DriverReport> replay =
+      RunExactInterleaving(oracle, run.txns, run.allocation, run.order);
+  if (!replay.ok()) {
+    return Status::FailedPrecondition(
+        StrCat("concurrent run has no deterministic replay: ",
+               replay.status().message()));
+  }
+  StatusOr<ExportedRun> oracle_run = ExportCommittedRun(oracle, run.txns);
+  if (!oracle_run.ok()) {
+    return Status::FailedPrecondition(
+        StrCat("deterministic replay does not export: ",
+               oracle_run.status().message()));
+  }
+  // Structural comparison: order, version function and version order all
+  // use positional txn ids, so this is insensitive to session naming (the
+  // oracle numbers sessions densely while the concurrent engine's
+  // committed ids have gaps from retried no-wait attempts).
+  bool same_programs = oracle_run->txns.size() == run.txns.size();
+  for (TxnId t = 0; same_programs && t < oracle_run->txns.size(); ++t) {
+    const Transaction& a = oracle_run->txns.txn(t);
+    const Transaction& b = run.txns.txn(t);
+    same_programs = a.num_ops() == b.num_ops();
+    for (int i = 0; same_programs && i < a.num_ops(); ++i) {
+      same_programs = a.op(i) == b.op(i);
+    }
+  }
+  if (!same_programs || oracle_run->allocation != run.allocation ||
+      oracle_run->order != run.order || oracle_run->versions != run.versions ||
+      oracle_run->version_order != run.version_order) {
+    return Status::FailedPrecondition(
+        "deterministic replay of the concurrent run diverges from the "
+        "recorded schedule");
+  }
+  return Status::Ok();
+}
+
 StatusOr<RoundTripReport> ValidateEngineRuns(const TransactionSet& txns,
                                              const Allocation& alloc,
                                              const RoundTripOptions& options) {
@@ -59,6 +95,11 @@ StatusOr<RoundTripReport> ValidateEngineRuns(const TransactionSet& txns,
   }
   if (options.runs < 0) {
     return Status::InvalidArgument("runs must be >= 0");
+  }
+  if (options.engine_shards != 0 && options.engine_threads <= 1) {
+    return Status::InvalidArgument(
+        "engine_shards requires engine_threads > 1 (the single-threaded "
+        "engine has no shards)");
   }
   PhaseTimer timer(options.metrics, "roundtrip.validate");
 
@@ -74,27 +115,13 @@ StatusOr<RoundTripReport> ValidateEngineRuns(const TransactionSet& txns,
     RandomRunOptions run_options;
     run_options.concurrency = options.concurrency;
     run_options.seed = options.seed + static_cast<uint64_t>(run);
-    // Engines live in optionals so one loop body serves both paths.
-    std::optional<Engine> engine;
-    std::optional<ConcurrentEngine> concurrent_engine;
-    if (concurrent) {
-      ConcurrentEngineOptions engine_options;
-      engine_options.num_shards = options.engine_shards;
-      engine_options.recorder = &recorder;
-      // Surfaces the per-shard/GC series for `mvrob validate
-      // --engine-shards`; attaching metrics never changes a run.
-      engine_options.metrics = options.metrics;
-      concurrent_engine.emplace(txns.num_objects(),
-                                static_cast<size_t>(options.engine_threads),
-                                engine_options);
-      run_options.engine_threads = options.engine_threads;
-      RunConcurrent(*concurrent_engine, txns, alloc, run_options);
-    } else {
-      EngineOptions engine_options;
-      engine_options.recorder = &recorder;
-      engine.emplace(txns.num_objects(), engine_options);
-      RunRandom(*engine, txns, alloc, run_options);
-    }
+    run_options.engine_threads = options.engine_threads;
+    run_options.engine_shards = options.engine_shards;
+    run_options.recorder = &recorder;
+    // The mvcc.* and driver.* series for `mvrob validate --stats-json`;
+    // attaching metrics never changes a run.
+    run_options.metrics = options.metrics;
+    const WorkloadRun engine_run = RunWorkload(txns, alloc, run_options);
     ++report.runs;
 
     if (recorder.dropped() > 0) {
@@ -127,11 +154,7 @@ StatusOr<RoundTripReport> ValidateEngineRuns(const TransactionSet& txns,
     // recording must equal the one exported from the live engine.
     StatusOr<ExportedRun> from_recording =
         BuildRunFromRecording(*parsed, txns);
-    StatusOr<ExportedRun> from_engine =
-        concurrent
-            ? ExportCommittedSessions(concurrent_engine->SessionSnapshot(),
-                                      txns)
-            : ExportCommittedRun(*engine, txns);
+    StatusOr<ExportedRun> from_engine = engine_run.Export(txns);
     if (from_recording.ok() != from_engine.ok()) {
       AddFailure(&report, run,
                  StrCat("exportability disagrees: recording says ",
@@ -210,52 +233,11 @@ StatusOr<RoundTripReport> ValidateEngineRuns(const TransactionSet& txns,
       continue;
     }
 
-    // Stage 6 (concurrent runs only): differential oracle. The exported
-    // interleaving must replay cleanly on a fresh single-threaded engine
-    // and reproduce the identical schedule, proving the concurrent
-    // execution equivalent to a deterministic interleaving.
+    // Stage 6 (concurrent runs only): differential oracle.
     if (concurrent) {
-      Engine oracle(from_engine->txns.num_objects(),
-                    EngineOptions{SsiMode::kExact, nullptr, nullptr});
-      StatusOr<DriverReport> replay =
-          RunExactInterleaving(oracle, from_engine->txns,
-                               from_engine->allocation, from_engine->order);
-      if (!replay.ok()) {
-        AddFailure(&report, run,
-                   StrCat("concurrent run has no deterministic replay: ",
-                          replay.status().message()));
-        continue;
-      }
-      StatusOr<ExportedRun> oracle_run =
-          ExportCommittedRun(oracle, from_engine->txns);
-      if (!oracle_run.ok()) {
-        AddFailure(&report, run,
-                   StrCat("deterministic replay does not export: ",
-                          oracle_run.status().message()));
-        continue;
-      }
-      // Structural comparison: order, version function and version order
-      // all use positional txn ids, so this is insensitive to session
-      // naming (the oracle numbers sessions densely while the concurrent
-      // engine's committed ids have gaps from retried no-wait attempts).
-      bool same_programs =
-          oracle_run->txns.size() == from_engine->txns.size();
-      for (TxnId t = 0; same_programs && t < oracle_run->txns.size(); ++t) {
-        const Transaction& a = oracle_run->txns.txn(t);
-        const Transaction& b = from_engine->txns.txn(t);
-        same_programs = a.num_ops() == b.num_ops();
-        for (int i = 0; same_programs && i < a.num_ops(); ++i) {
-          same_programs = a.op(i) == b.op(i);
-        }
-      }
-      if (!same_programs ||
-          oracle_run->allocation != from_engine->allocation ||
-          oracle_run->order != from_engine->order ||
-          oracle_run->versions != from_engine->versions ||
-          oracle_run->version_order != from_engine->version_order) {
-        AddFailure(&report, run,
-                   "deterministic replay of the concurrent run diverges "
-                   "from the recorded schedule");
+      Status replayed = ReplayOnDeterministicEngine(*from_engine);
+      if (!replayed.ok()) {
+        AddFailure(&report, run, replayed.message());
         continue;
       }
     }

@@ -9,6 +9,7 @@
 #include "iso/allocation.h"
 #include "mvcc/engine.h"
 #include "mvcc/recorder.h"
+#include "mvcc/trace.h"
 #include "txn/transaction_set.h"
 
 namespace mvrob {
@@ -21,20 +22,21 @@ struct RoundTripOptions {
   int runs = 200;
   int concurrency = 4;
   uint64_t seed = 0;
-  /// Engine worker threads per run. 1 = the deterministic single-threaded
-  /// driver; > 1 runs the many-core engine (RunConcurrent) and adds a
-  /// differential stage: the exported interleaving must replay cleanly on
-  /// a fresh single-threaded engine and produce the identical schedule,
-  /// i.e. every concurrent run is equivalent to a deterministic one.
+  /// Engine worker threads per run, as RandomRunOptions::engine_threads
+  /// (each run goes through RunWorkload). > 1 adds a differential stage:
+  /// the exported interleaving must replay cleanly on a fresh
+  /// single-threaded engine and produce the identical schedule, i.e. every
+  /// concurrent run is equivalent to a deterministic one.
   int engine_threads = 1;
-  /// Key-space shards for the many-core engine (0 = auto); ignored when
-  /// engine_threads == 1.
+  /// Key-space shards for the many-core engine (0 = auto). A non-zero
+  /// count with engine_threads == 1 is rejected with InvalidArgument.
   size_t engine_shards = 0;
   size_t recorder_capacity = ScheduleRecorder::kDefaultCapacity;
   /// Knobs for the robustness verdict computed once up front.
   CheckOptions check;
-  /// Optional sink for roundtrip.* counters and the roundtrip.validate
-  /// phase span.
+  /// Optional sink for roundtrip.* counters, the roundtrip.validate phase
+  /// span, and the recorded runs' mvcc.* and driver.* series (the stage-6
+  /// replay engine is not instrumented).
   MetricsRegistry* metrics = nullptr;
 };
 
@@ -62,6 +64,13 @@ struct RoundTripReport {
 
   std::string ToString() const;
 };
+
+/// Stage 6 of the validator, usable on its own: replays `run` (exported
+/// from a many-core engine run) step for step on a fresh, unsinked
+/// single-threaded Engine and checks that the replay reproduces the same
+/// programs, allocation, order, version function and version order.
+/// Fails with FailedPrecondition, naming the divergence, otherwise.
+Status ReplayOnDeterministicEngine(const ExportedRun& run);
 
 /// The round-trip validator: records randomized engine executions of
 /// `txns` under `alloc` with the ScheduleRecorder, feeds each recording

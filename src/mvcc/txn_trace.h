@@ -143,8 +143,9 @@ struct TxnTracerOptions {
 /// engines report attributions at their abort sites (AttributeAbort).
 ///
 /// Cost contract, same discipline as the metrics sink: a null TxnTracer*
-/// in EngineOptions / RandomRunOptions disables every call site, and the
-/// tracer only observes — attaching one never changes a run's results.
+/// in EngineSinks (set once on RandomRunOptions) disables every call site,
+/// and the tracer only observes — attaching one never changes a run's
+/// results.
 /// Unsampled flows (flow id 0) skip all per-op recording; their aborts
 /// still feed the aggregated conflict table, which costs one mutexed map
 /// bump per abort.

@@ -286,6 +286,29 @@ TEST(CliTest, RejectsUnknownFlags) {
   EXPECT_TRUE(typo.out.empty()) << typo.out;
 }
 
+TEST(CliTest, EngineShardsRequireEngineThreads) {
+  // Shards partition the many-core engine only: without --engine-threads
+  // > 1 the flag is rejected, naming both flags, instead of ignored.
+  for (const char* command : {"simulate", "validate", "serve"}) {
+    for (const std::vector<std::string>& threads :
+         {std::vector<std::string>{},
+          std::vector<std::string>{"--engine-threads", "1"}}) {
+      std::vector<std::string> args = {command, "--txns", kWriteSkew,
+                                       "--engine-shards", "8"};
+      args.insert(args.end(), threads.begin(), threads.end());
+      CliResult result = RunTool(args);
+      EXPECT_EQ(result.code, 1) << Join(args, " ");
+      EXPECT_NE(result.err.find("--engine-shards requires --engine-threads"),
+                std::string::npos)
+          << Join(args, " ") << " stderr: " << result.err;
+    }
+  }
+  CliResult sharded =
+      RunTool({"simulate", "--txns", kWriteSkew, "--runs", "2",
+               "--engine-threads", "2", "--engine-shards", "8"});
+  EXPECT_EQ(sharded.code, 0) << sharded.err;
+}
+
 TEST(CliTest, FlagTableMatchesHelp) {
   const std::string help = RunTool({"help"}).out;
   std::set<std::string> in_help;

@@ -9,13 +9,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
 
 #include "common/metrics.h"
 #include "common/string_util.h"
 #include "iso/allocation.h"
-#include "mvcc/concurrent_driver.h"
 #include "mvcc/concurrent_engine.h"
+#include "mvcc/driver.h"
+#include "mvcc/recorder.h"
 #include "mvcc/roundtrip.h"
 #include "mvcc/ssi_tracker.h"
 #include "mvcc/txn_trace.h"
@@ -328,6 +330,78 @@ TEST(ConcurrentDifferentialTest, YcsbHighContentionMixedLevels) {
   ValidateConcurrentWorkload("ycsb:a,n=16,k=8,theta=0.99,kpt=3", &MixedOf,
                              /*runs=*/25, /*seed=*/14);
 }
+
+// ---------------------------------------------------------------------------
+// The one run path at kWorkers engine threads: RunWorkload builds the
+// many-core engine with the run's sinks, and the exported run replays step
+// for step on the deterministic engine (validate stage 6).
+
+struct ConcurrentRunCase {
+  const char* name;
+  const char* spec;
+  Allocation (*make_alloc)(size_t);
+};
+
+class ConcurrentRunWorkloadTest
+    : public ::testing::TestWithParam<ConcurrentRunCase> {};
+
+TEST_P(ConcurrentRunWorkloadTest, ExportedRunReplaysOnDeterministicEngine) {
+  const ConcurrentRunCase& c = GetParam();
+  StatusOr<Workload> workload = MakeNamedWorkload(c.spec);
+  ASSERT_TRUE(workload.ok()) << workload.status().ToString();
+  const TransactionSet& txns = workload->txns;
+  const Allocation alloc = c.make_alloc(txns.size());
+
+  int replayed_runs = 0;
+  for (uint64_t seed : {1u, 2u}) {
+    SCOPED_TRACE(seed);
+    MetricsRegistry metrics;
+    ScheduleRecorder recorder;
+    RandomRunOptions options;
+    options.seed = seed;
+    options.engine_threads = static_cast<int>(kWorkers);
+    options.metrics = &metrics;
+    options.recorder = &recorder;
+    const WorkloadRun run = RunWorkload(txns, alloc, options);
+    EXPECT_GT(run.report().committed, 0u);
+    EXPECT_EQ(run.stats().commits, run.report().committed);
+    EXPECT_EQ(metrics.counter("mvcc.commits").value(),
+              run.report().committed);
+    EXPECT_EQ(metrics.counter("driver.committed").value(),
+              run.report().committed);
+    EXPECT_GT(recorder.total_recorded(), 0u);
+    StatusOr<ExportedRun> exported = run.Export(txns);
+    if (!exported.ok()) continue;  // A double write has no formal image.
+    Status replayed = ReplayOnDeterministicEngine(*exported);
+    EXPECT_TRUE(replayed.ok()) << replayed.ToString();
+    ++replayed_runs;
+  }
+  EXPECT_GT(replayed_runs, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Workloads, ConcurrentRunWorkloadTest,
+    ::testing::Values(
+        ConcurrentRunCase{"smallbank_RC", "smallbank:c=3", &Allocation::AllRC},
+        ConcurrentRunCase{"smallbank_SI", "smallbank:c=3", &Allocation::AllSI},
+        ConcurrentRunCase{"smallbank_SSI", "smallbank:c=3",
+                          &Allocation::AllSSI},
+        ConcurrentRunCase{"smallbank_mixed", "smallbank:c=3", &MixedOf},
+        ConcurrentRunCase{"tpcc_RC", "tpcc", &Allocation::AllRC},
+        ConcurrentRunCase{"tpcc_SI", "tpcc", &Allocation::AllSI},
+        ConcurrentRunCase{"tpcc_SSI", "tpcc", &Allocation::AllSSI},
+        ConcurrentRunCase{"tpcc_mixed", "tpcc", &MixedOf},
+        ConcurrentRunCase{"ycsb_RC", "ycsb:a,n=16,k=8,theta=0.99",
+                          &Allocation::AllRC},
+        ConcurrentRunCase{"ycsb_SI", "ycsb:a,n=16,k=8,theta=0.99",
+                          &Allocation::AllSI},
+        ConcurrentRunCase{"ycsb_SSI", "ycsb:a,n=16,k=8,theta=0.99",
+                          &Allocation::AllSSI},
+        ConcurrentRunCase{"ycsb_mixed", "ycsb:a,n=16,k=8,theta=0.99",
+                          &MixedOf}),
+    [](const ::testing::TestParamInfo<ConcurrentRunCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // ---------------------------------------------------------------------------
 // Multi-worker, multi-epoch stress: N workers hammer a small hot set with

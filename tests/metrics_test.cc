@@ -16,6 +16,7 @@
 #include "iso/allocation.h"
 #include "mvcc/driver.h"
 #include "mvcc/engine.h"
+#include "mvcc/roundtrip.h"
 #include "oracle/statistics.h"
 #include "txn/parser.h"
 #include "workloads/registry.h"
@@ -422,6 +423,31 @@ TEST(EngineMetricsTest, MetricsDoNotChangeExecution) {
   EXPECT_EQ(observed.deadlock_victims, baseline.deadlock_victims);
   EXPECT_EQ(instrumented.stats().commits, plain.stats().commits);
   EXPECT_EQ(instrumented.stats().aborts_ssi, plain.stats().aborts_ssi);
+}
+
+// `mvrob validate --stats-json` carries the recorded runs' mvcc.* and
+// driver.* series at every engine thread count, and the stage-6 replay
+// engine adds no commits of its own.
+TEST(EngineMetricsTest, ValidateCountsEachRecordedCommitOnce) {
+  StatusOr<Workload> workload = MakeNamedWorkload("smallbank:c=4");
+  ASSERT_TRUE(workload.ok()) << workload.status().ToString();
+  const Allocation alloc = Allocation::AllSI(workload->txns.size());
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    MetricsRegistry registry;
+    RoundTripOptions options;
+    options.runs = 3;
+    options.engine_threads = threads;
+    options.metrics = &registry;
+    StatusOr<RoundTripReport> report =
+        ValidateEngineRuns(workload->txns, alloc, options);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->disagreements, 0u);
+    const uint64_t committed = registry.counter("driver.committed").value();
+    EXPECT_GT(committed, 0u);
+    EXPECT_EQ(registry.counter("mvcc.commits").value(), committed);
+    EXPECT_EQ(registry.counter("driver.runs").value(), 3u);
+  }
 }
 
 TEST(PoolMetricsTest, ParallelForRecordsJobs) {

@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/metrics.h"
 #include "core/robustness.h"
 #include "core/split_schedule.h"
 #include "iso/allowed.h"
 #include "mvcc/driver.h"
+#include "mvcc/recorder.h"
 #include "mvcc/trace.h"
+#include "mvcc/txn_trace.h"
 #include "schedule/serializability.h"
 #include "txn/parser.h"
+#include "workloads/registry.h"
 #include "workloads/smallbank.h"
 
 namespace mvrob {
@@ -307,7 +313,7 @@ TEST(DriverTest, HotspotContentionAbortsUnderSiButNotRc) {
 // ---------------------------------------------------------------------------
 
 TEST(SsiModeTest, ConservativeAbortsWriteSkewToo) {
-  Engine engine(2, EngineOptions{SsiMode::kConservative});
+  Engine engine(2, EngineOptions{{}, SsiMode::kConservative});
   SessionId t1 = engine.Begin(IsolationLevel::kSSI);
   SessionId t2 = engine.Begin(IsolationLevel::kSSI);
   (void)engine.Read(t1, 0);
@@ -333,7 +339,7 @@ TEST(SsiModeTest, ConservativeHasFalsePositives) {
   // (the commit-order optimization of [15]/Postgres): the exact mode
   // commits everything, the conservative mode aborts.
   auto run = [](SsiMode mode) {
-    Engine engine(2, EngineOptions{mode});
+    Engine engine(2, EngineOptions{{}, mode});
     SessionId t1 = engine.Begin(IsolationLevel::kSSI);
     SessionId t2 = engine.Begin(IsolationLevel::kSSI);
     SessionId t3 = engine.Begin(IsolationLevel::kSSI);
@@ -358,7 +364,7 @@ TEST(SsiModeTest, ConservativeTracesStayAllowedAndSerializable) {
   Workload bank = MakeSmallBank(SmallBankParams{});
   for (uint64_t seed = 0; seed < 8; ++seed) {
     Engine engine(bank.txns.num_objects(),
-                  EngineOptions{SsiMode::kConservative});
+                  EngineOptions{{}, SsiMode::kConservative});
     RandomRunOptions options;
     options.concurrency = 4;
     options.seed = seed;
@@ -382,9 +388,9 @@ TEST(SsiModeTest, ConservativeNeverAbortsLess) {
     options.concurrency = 6;
     options.max_retries = 0;
     options.seed = seed;
-    Engine exact(bank.txns.num_objects(), EngineOptions{SsiMode::kExact});
+    Engine exact(bank.txns.num_objects());
     Engine conservative(bank.txns.num_objects(),
-                        EngineOptions{SsiMode::kConservative});
+                        EngineOptions{{}, SsiMode::kConservative});
     DriverReport exact_report = RunRandom(
         exact, bank.txns, Allocation::AllSSI(bank.txns.size()), options);
     DriverReport conservative_report =
@@ -396,6 +402,126 @@ TEST(SsiModeTest, ConservativeNeverAbortsLess) {
         << "seed " << seed;
   }
 }
+
+// ---------------------------------------------------------------------------
+// The one run path: RunWorkload at one engine thread is exactly a
+// hand-built Engine driven by RunRandom with the same seed and sinks.
+
+struct RunPathCase {
+  const char* name;
+  const char* spec;
+  const char* levels;  // "RC", "SI", "SSI" or "mixed".
+};
+
+Allocation AllocationFor(const std::string& levels, size_t n) {
+  if (levels == "RC") return Allocation::AllRC(n);
+  if (levels == "SI") return Allocation::AllSI(n);
+  if (levels == "SSI") return Allocation::AllSSI(n);
+  std::vector<IsolationLevel> mixed(n);
+  for (size_t i = 0; i < n; ++i) {
+    mixed[i] = kAllIsolationLevels[i % kAllIsolationLevels.size()];
+  }
+  return Allocation(std::move(mixed));
+}
+
+uint64_t ZeroClock() { return 0; }
+
+// What one run leaves in its sinks, rendered for exact comparison.
+struct SinkOutput {
+  std::string recording;
+  std::string trace;
+  uint64_t mvcc_commits = 0;
+  uint64_t driver_committed = 0;
+};
+
+class RunWorkloadTest : public ::testing::TestWithParam<RunPathCase> {};
+
+TEST_P(RunWorkloadTest, SingleThreadMatchesHandBuiltEngine) {
+  const RunPathCase& c = GetParam();
+  StatusOr<Workload> workload = MakeNamedWorkload(c.spec);
+  ASSERT_TRUE(workload.ok()) << workload.status().ToString();
+  const TransactionSet& txns = workload->txns;
+  const Allocation alloc = AllocationFor(c.levels, txns.size());
+
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    auto run_with_sinks = [&](auto&& run) {
+      MetricsRegistry metrics;
+      ScheduleRecorder recorder;
+      TxnTracerOptions tracer_options;
+      tracer_options.clock_us = &ZeroClock;
+      TxnTracer tracer(tracer_options);
+      RandomRunOptions options;
+      options.seed = seed;
+      options.metrics = &metrics;
+      options.recorder = &recorder;
+      options.tracer = &tracer;
+      run(options);
+      return SinkOutput{recorder.ToText(txns), tracer.StatusJson(),
+                        metrics.counter("mvcc.commits").value(),
+                        metrics.counter("driver.committed").value()};
+    };
+
+    DriverReport hand_report;
+    EngineStats hand_stats;
+    StatusOr<ExportedRun> hand_export = Status::Internal("not run");
+    const SinkOutput hand = run_with_sinks([&](const RandomRunOptions& o) {
+      EngineOptions engine_options;
+      engine_options.metrics = o.metrics;
+      engine_options.recorder = o.recorder;
+      engine_options.tracer = o.tracer;
+      Engine engine(txns.num_objects(), engine_options);
+      hand_report = RunRandom(engine, txns, alloc, o);
+      hand_stats = engine.stats();
+      hand_export = ExportCommittedRun(engine, txns);
+    });
+
+    DriverReport path_report;
+    EngineStats path_stats;
+    StatusOr<ExportedRun> path_export = Status::Internal("not run");
+    const SinkOutput path = run_with_sinks([&](const RandomRunOptions& o) {
+      const WorkloadRun run = RunWorkload(txns, alloc, o);
+      path_report = run.report();
+      path_stats = run.stats();
+      path_export = run.Export(txns);
+    });
+
+    EXPECT_GT(hand_report.committed, 0u);
+    EXPECT_EQ(path_report, hand_report);
+    EXPECT_EQ(path_stats, hand_stats);
+    EXPECT_EQ(path.recording, hand.recording);
+    EXPECT_EQ(path.trace, hand.trace);
+    EXPECT_EQ(path.mvcc_commits, hand.mvcc_commits);
+    EXPECT_EQ(path.driver_committed, hand.driver_committed);
+    EXPECT_EQ(path.mvcc_commits, path.driver_committed);
+    ASSERT_EQ(path_export.ok(), hand_export.ok());
+    if (path_export.ok()) {
+      EXPECT_EQ(path_export->order, hand_export->order);
+      EXPECT_EQ(path_export->versions, hand_export->versions);
+      EXPECT_EQ(path_export->version_order, hand_export->version_order);
+      EXPECT_EQ(path_export->allocation, hand_export->allocation);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Workloads, RunWorkloadTest,
+    ::testing::Values(
+        RunPathCase{"smallbank_RC", "smallbank:c=3", "RC"},
+        RunPathCase{"smallbank_SI", "smallbank:c=3", "SI"},
+        RunPathCase{"smallbank_SSI", "smallbank:c=3", "SSI"},
+        RunPathCase{"smallbank_mixed", "smallbank:c=3", "mixed"},
+        RunPathCase{"tpcc_RC", "tpcc", "RC"},
+        RunPathCase{"tpcc_SI", "tpcc", "SI"},
+        RunPathCase{"tpcc_SSI", "tpcc", "SSI"},
+        RunPathCase{"tpcc_mixed", "tpcc", "mixed"},
+        RunPathCase{"ycsb_RC", "ycsb:a,n=16,k=8,theta=0.99", "RC"},
+        RunPathCase{"ycsb_SI", "ycsb:a,n=16,k=8,theta=0.99", "SI"},
+        RunPathCase{"ycsb_SSI", "ycsb:a,n=16,k=8,theta=0.99", "SSI"},
+        RunPathCase{"ycsb_mixed", "ycsb:a,n=16,k=8,theta=0.99", "mixed"}),
+    [](const ::testing::TestParamInfo<RunPathCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace mvrob

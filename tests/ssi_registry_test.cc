@@ -179,7 +179,7 @@ Verdicts CheckEveryEngineSsiCommit(const std::string& spec, SsiMode mode,
   StatusOr<Workload> workload = MakeNamedWorkload(spec);
   EXPECT_TRUE(workload.ok()) << workload.status().ToString();
   const TransactionSet& programs = workload->txns;
-  Engine engine(programs.num_objects(), EngineOptions{mode});
+  Engine engine(programs.num_objects(), EngineOptions{{}, mode});
   SsiRegistry unretired;
   Verdicts verdicts;
   bool expected = false;

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Runs the robustness scaling benchmarks and emits BENCH_robustness.json
 # (Google Benchmark's JSON format, which embeds the machine context:
-# cpu count, frequency, build type). Covers the old-vs-bitset ablation
-# (Legacy/Bitset on the RMW clique and readers/writers families) and the
-# sequential-vs-parallel thread sweep.
+# cpu count, frequency, build type). Covers the bitset analyzer on the RMW
+# clique and readers/writers families and the sequential-vs-parallel
+# thread sweep.
 #
 # With a third argument, additionally runs the many-core MVCC scaling
 # sweep (bench_mvcc_scaling) into that file — the throughput-vs-threads
@@ -23,7 +23,7 @@ if [[ ! -x "$BIN" ]]; then
 fi
 
 "$BIN" \
-  --benchmark_filter='BM_(LegacyAnalyzer|BitsetAnalyzer|ParallelCheck)' \
+  --benchmark_filter='BM_(BitsetAnalyzer|ParallelCheck)' \
   --benchmark_format=json \
   --benchmark_out_format=json \
   --benchmark_out="$OUT" \

@@ -364,7 +364,7 @@ rm -f "$PROFILE_PORT_FILE" "$PROFILE_SERVE_OUT" "$PROFILE_FOLDED" "$PROFILE_SVG"
 
 echo "==== numeric-flag rejection smoke ===="
 for bad in "census --max abc" "simulate --runs 12x" "simulate --seed -1" \
-    "simulate --engine-thread 4"; do
+    "simulate --engine-thread 4" "simulate --engine-shards 8"; do
   if build/tools/mvrob $bad --workload tpcc:w=2,d=2 >/dev/null 2>&1; then
     echo "error: 'mvrob $bad' should have failed" >&2
     exit 1
@@ -578,17 +578,18 @@ echo "==== TSan build (MVROB_SANITIZE=thread) ===="
 cmake -B build-tsan -S . -DMVROB_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"$JOBS" --target \
   common_test parallel_differential_test concurrent_engine_test profiler_test \
-  delta_check_test
+  delta_check_test mvcc_test
 MVROB_POOL_WORKERS=3 TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir build-tsan --output-on-failure -j"$JOBS" \
-  -R 'ThreadPool|ParallelDifferential|ParallelAllocation|IncrementalParallel|Concurrent|DeltaCheck'
+  -R 'ThreadPool|ParallelDifferential|ParallelAllocation|IncrementalParallel|Concurrent|DeltaCheck|RunWorkload'
 
 echo "==== ASan build (MVROB_SANITIZE=address) ===="
 cmake -B build-asan -S . -DMVROB_SANITIZE=address >/dev/null
 cmake --build build-asan -j"$JOBS" --target \
-  common_test parallel_differential_test core_test delta_check_test
+  common_test parallel_differential_test core_test delta_check_test \
+  mvcc_test concurrent_engine_test
 MVROB_POOL_WORKERS=3 \
   ctest --test-dir build-asan --output-on-failure -j"$JOBS" \
-  -R 'DenseBitset|BitMatrix|ThreadPool|ParallelDifferential|Core|Analyzer|DeltaCheck'
+  -R 'DenseBitset|BitMatrix|ThreadPool|ParallelDifferential|Core|Analyzer|DeltaCheck|RunWorkload'
 
 echo "==== all CI stages passed ===="
