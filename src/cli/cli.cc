@@ -18,6 +18,7 @@
 #include "common/profiler.h"
 #include "common/string_util.h"
 #include "common/version.h"
+#include "core/analyzer.h"
 #include "core/constrained_allocation.h"
 #include "core/explain.h"
 #include "core/incremental.h"
@@ -574,7 +575,7 @@ int CmdAllocate(const Flags& flags, std::ostream& out, std::ostream& err,
   OptimalAllocationResult result = ComputeOptimalAllocation(*txns, *options);
   if (flags.Has("witness-json") || flags.Has("witness-dot")) {
     StatusOr<AllocationExplanation> explanation =
-        ExplainAllocation(*txns, result.allocation);
+        ExplainAllocation(*txns, result.allocation, *options);
     if (!explanation.ok()) return Fail(err, explanation.status());
     Status witness_out = EmitAllocationWitness(flags, *txns, *explanation, out);
     if (!witness_out.ok()) return Fail(err, witness_out);
@@ -601,7 +602,7 @@ int CmdAllocate(const Flags& flags, std::ostream& out, std::ostream& err,
       << " SSI=" << result.allocation.CountAt(IsolationLevel::kSSI) << "\n";
   if (flags.Has("explain")) {
     StatusOr<AllocationExplanation> explanation =
-        ExplainAllocation(*txns, result.allocation);
+        ExplainAllocation(*txns, result.allocation, *options);
     if (!explanation.ok()) return Fail(err, explanation.status());
     out << explanation->ToString(*txns);
   }
@@ -831,8 +832,10 @@ int CmdReport(const Flags& flags, std::ostream& out, std::ostream& err,
 
   out << "## Robustness against homogeneous allocations\n\n";
   out << "| allocation | robust |\n|---|---|\n";
-  RobustnessResult rc = CheckRobustnessRC(*txns);
-  RobustnessResult si = CheckRobustnessSI(*txns);
+  const size_t n = txns->size();
+  const RobustnessAnalyzer analyzer(*txns, metrics);
+  RobustnessResult rc = analyzer.Check(Allocation::AllRC(n), *options);
+  RobustnessResult si = analyzer.Check(Allocation::AllSI(n), *options);
   out << "| A_RC  | " << (rc.robust ? "yes" : "no") << " |\n";
   out << "| A_SI  | " << (si.robust ? "yes" : "no") << " |\n";
   out << "| A_SSI | yes |\n\n";
@@ -846,14 +849,14 @@ int CmdReport(const Flags& flags, std::ostream& out, std::ostream& err,
       << " (" << optimal.robustness_checks << " robustness checks)\n\n";
 
   StatusOr<AllocationExplanation> explanation =
-      ExplainAllocation(*txns, optimal.allocation);
+      ExplainAllocation(*txns, optimal.allocation, *options);
   if (explanation.ok()) {
     out << "## Why no transaction can run lower\n\n```\n"
         << explanation->ToString(*txns) << "```\n\n";
   }
 
-  std::vector<CounterexampleChain> spots = FindAllCounterexamples(
-      *txns, Allocation::AllSI(txns->size()), /*limit=*/8, *options);
+  const std::vector<CounterexampleChain> spots =
+      analyzer.FindAll(Allocation::AllSI(n), /*limit=*/8, *options).chains;
   if (!spots.empty()) {
     out << "## Trouble spots under A_SI\n\n";
     for (const CounterexampleChain& chain : spots) {
@@ -951,7 +954,7 @@ int CmdSimulate(const Flags& flags, std::ostream& out, std::ostream& err,
   for (const auto& [kind, count] : anomaly_counts) {
     out << "anomaly '" << kind << "': " << count << " occurrence(s)\n";
   }
-  bool robust = CheckRobustness(*txns, *alloc).robust;
+  bool robust = CheckRobustness(*txns, *alloc, CheckOptions{}).robust;
   out << "(Algorithm 1 verdict for this allocation: "
       << (robust ? "robust - anomalies are impossible"
                  : "NOT robust - anomalies are possible")
@@ -1195,6 +1198,7 @@ int CmdCrossCheck(const Flags& flags, std::ostream& out, std::ostream& err) {
   StatusOr<Allocation> alloc = LoadAllocation(flags, *txns);
   if (!alloc.ok()) return Fail(err, alloc.status());
 
+  // The reference checker on purpose: crosscheck referees the analyzer.
   RobustnessResult algorithm = CheckRobustness(*txns, *alloc);
   out << "Algorithm 1 (PTIME):       "
       << (algorithm.robust ? "robust" : "not robust") << "\n";

@@ -241,11 +241,14 @@ struct RowScratch {
 
 }  // namespace
 
-std::optional<CounterexampleChain> RobustnessAnalyzer::CheckRow(
-    const RowScan& scan, TxnId t1, uint64_t* words_scanned) const {
+void RobustnessAnalyzer::CheckRow(const RowScan& scan, TxnId t1,
+                                  uint64_t* words_scanned) const {
   const size_t n = txns_.size();
   const uint64_t words_per_row = (n + 63) / 64;
   uint64_t mask_ops = 0;  // Word-wise row operations; flushed on return.
+  auto flush = [&] {
+    if (words_scanned != nullptr) *words_scanned += mask_ops * words_per_row;
+  };
   const Allocation& alloc = scan.alloc;
   ConstBitSpan ssi_mask = scan.ssi_mask;
   bool t1_rc = alloc.level(t1) == IsolationLevel::kRC;
@@ -288,13 +291,13 @@ std::optional<CounterexampleChain> RobustnessAnalyzer::CheckRow(
        t2 = pair_mask.FindNext(t2 + 1)) {
     if (scan.best != nullptr &&
         t1 >= scan.best->load(std::memory_order_relaxed)) {
-      if (words_scanned != nullptr) *words_scanned += mask_ops * words_per_row;
-      return std::nullopt;  // A lower row already holds a witness.
+      flush();
+      return;  // A lower row already fills the limit.
     }
     if (scan.cancel != nullptr &&
         scan.cancel->load(std::memory_order_relaxed)) {
-      if (words_scanned != nullptr) *words_scanned += mask_ops * words_per_row;
-      return std::nullopt;  // Caller marks the result cancelled.
+      flush();
+      return;  // Caller marks the result cancelled.
     }
     // Tm candidates for this pair: allocation-independent base (ww
     // constraint towards Tm + condition (5)) minus the SSI exclusions
@@ -334,13 +337,44 @@ std::optional<CounterexampleChain> RobustnessAnalyzer::CheckRow(
           InnerChain(t1, static_cast<TxnId>(t2), static_cast<TxnId>(tm));
       if (!inner.has_value()) continue;
       chain.inner = std::move(inner).value();
-      if (words_scanned != nullptr) *words_scanned += mask_ops * words_per_row;
-      return chain;
+      scan.found->push_back(std::move(chain));
+      if (scan.found->size() >= scan.limit) {
+        flush();
+        return;
+      }
     }
   }
-  if (words_scanned != nullptr) *words_scanned += mask_ops * words_per_row;
-  return std::nullopt;
+  flush();
 }
+
+namespace {
+
+DenseBitset ChangedLevels(const Allocation& base, const Allocation& candidate) {
+  DenseBitset changed(candidate.size());
+  for (TxnId t = 0; t < candidate.size(); ++t) {
+    if (base.level(t) != candidate.level(t)) changed.Set(t);
+  }
+  return changed;
+}
+
+// Check's verdict from a limit-1 scan.
+RobustnessResult FirstWitness(CounterexampleList found, size_t n) {
+  RobustnessResult result;
+  if (found.cancelled) {
+    result.cancelled = true;
+  } else if (!found.chains.empty()) {
+    CounterexampleChain& chain = found.chains.front();
+    result.robust = false;
+    result.triples_examined =
+        internal::TriplesUpToWitness(n, chain.t1, chain.t2, chain.tm);
+    result.counterexample = std::move(chain);
+  } else {
+    result.triples_examined = internal::TriplesWhenRobust(n);
+  }
+  return result;
+}
+
+}  // namespace
 
 RobustnessResult RobustnessAnalyzer::Check(const Allocation& alloc) const {
   return Check(alloc, CheckOptions{});
@@ -348,17 +382,27 @@ RobustnessResult RobustnessAnalyzer::Check(const Allocation& alloc) const {
 
 RobustnessResult RobustnessAnalyzer::Check(const Allocation& alloc,
                                            const CheckOptions& options) const {
-  return Scan(alloc, nullptr, options);
+  return FirstWitness(Scan(alloc, nullptr, 1, false, options), txns_.size());
 }
 
 RobustnessResult RobustnessAnalyzer::CheckDelta(
     const Allocation& base, const Allocation& candidate,
     const CheckOptions& options) const {
-  DenseBitset changed(txns_.size());
-  for (TxnId t = 0; t < txns_.size(); ++t) {
-    if (base.level(t) != candidate.level(t)) changed.Set(t);
-  }
-  return Scan(candidate, &changed, options);
+  const DenseBitset changed = ChangedLevels(base, candidate);
+  return FirstWitness(Scan(candidate, &changed, 1, false, options),
+                      txns_.size());
+}
+
+CounterexampleList RobustnessAnalyzer::FindAll(
+    const Allocation& alloc, size_t limit, const CheckOptions& options) const {
+  return Scan(alloc, nullptr, limit, true, options);
+}
+
+CounterexampleList RobustnessAnalyzer::FindAll(
+    const Allocation& base, const Allocation& candidate, size_t limit,
+    const CheckOptions& options) const {
+  const DenseBitset changed = ChangedLevels(base, candidate);
+  return Scan(candidate, &changed, limit, true, options);
 }
 
 namespace {
@@ -367,7 +411,7 @@ namespace {
 // triples_examined) with a member in `focus`, up to and including the
 // witness, or all of them when there is none: what a delta check covers.
 uint64_t FocusTriples(const DenseBitset& focus,
-                      const std::optional<CounterexampleChain>& witness) {
+                      const CounterexampleChain* witness) {
   const size_t n = focus.size();
   const uint64_t m = n - 1;
   const uint64_t c = focus.Count();
@@ -376,10 +420,10 @@ uint64_t FocusTriples(const DenseBitset& focus,
   auto row = [&](TxnId t1) {
     return focus.Test(t1) ? m * m : m * m - (m - c) * (m - c);
   };
-  const TxnId rows = witness.has_value() ? witness->t1 : n;
+  const TxnId rows = witness != nullptr ? witness->t1 : n;
   uint64_t count = 0;
   for (TxnId t1 = 0; t1 < rows; ++t1) count += row(t1);
-  if (!witness.has_value()) return count;
+  if (witness == nullptr) return count;
   const TxnId t1 = witness->t1;
   const bool row_in = focus.Test(t1);
   for (TxnId t2 = 0; t2 < witness->t2; ++t2) {
@@ -393,46 +437,64 @@ uint64_t FocusTriples(const DenseBitset& focus,
   return count;
 }
 
-void RecordCheckMetrics(MetricsRegistry* metrics,
-                        const RobustnessResult& result,
-                        const DenseBitset* focus, uint64_t words_scanned,
-                        uint64_t rows_scanned) {
-  metrics->counter("analyzer.checks").Increment();
-  if (focus == nullptr) {
-    metrics->counter("analyzer.triples_examined").Add(result.triples_examined);
+// Checks count in analyzer.checks (full ones with their audited triples,
+// delta ones with the triples they cover); enumerations count apart, with
+// the witnesses they returned.
+void RecordScanMetrics(MetricsRegistry* metrics,
+                       const CounterexampleList& found,
+                       const DenseBitset* focus, bool enumerate, size_t n,
+                       uint64_t words_scanned, uint64_t rows_scanned) {
+  const CounterexampleChain* witness =
+      found.chains.empty() ? nullptr : &found.chains.front();
+  if (enumerate) {
+    metrics->counter("analyzer.enumerations").Increment();
+    metrics->counter("analyzer.witnesses_enumerated").Add(found.chains.size());
   } else {
-    metrics->counter("analyzer.delta_checks").Increment();
-    if (!result.cancelled) {
+    metrics->counter("analyzer.checks").Increment();
+    if (focus != nullptr) metrics->counter("analyzer.delta_checks").Increment();
+    if (focus == nullptr) {
+      uint64_t triples = 0;  // A cancelled check has no verdict.
+      if (!found.cancelled) {
+        triples = witness == nullptr
+                      ? internal::TriplesWhenRobust(n)
+                      : internal::TriplesUpToWitness(n, witness->t1,
+                                                     witness->t2, witness->tm);
+      }
+      metrics->counter("analyzer.triples_examined").Add(triples);
+    } else if (!found.cancelled) {
       metrics->counter("analyzer.delta_triples_examined")
-          .Add(FocusTriples(*focus, result.counterexample));
+          .Add(FocusTriples(*focus, witness));
+    }
+    if (!found.cancelled && witness != nullptr) {
+      metrics->counter("analyzer.counterexamples_found").Increment();
     }
   }
   metrics->counter("analyzer.bitset_words_scanned").Add(words_scanned);
   metrics->counter("analyzer.rows_scanned").Add(rows_scanned);
-  if (result.cancelled) {
+  if (found.cancelled) {
     metrics->counter("analyzer.checks_cancelled").Increment();
-  } else if (!result.robust) {
-    metrics->counter("analyzer.counterexamples_found").Increment();
   }
 }
 
 }  // namespace
 
-RobustnessResult RobustnessAnalyzer::Scan(const Allocation& alloc,
-                                          const DenseBitset* focus,
-                                          const CheckOptions& options) const {
+CounterexampleList RobustnessAnalyzer::Scan(const Allocation& alloc,
+                                            const DenseBitset* focus,
+                                            size_t limit, bool enumerate,
+                                            const CheckOptions& options) const {
   MetricsRegistry* metrics =
       options.metrics != nullptr ? options.metrics : metrics_;
-  RobustnessResult result;
+  CounterexampleList found;
   const size_t n = txns_.size();
-  if (n < 2) {
+  if (n < 2 || limit == 0) {
     if (metrics != nullptr) {
-      metrics->counter("analyzer.checks").Increment();
-      if (focus != nullptr) {
+      metrics->counter(enumerate ? "analyzer.enumerations" : "analyzer.checks")
+          .Increment();
+      if (!enumerate && focus != nullptr) {
         metrics->counter("analyzer.delta_checks").Increment();
       }
     }
-    return result;
+    return found;
   }
   PhaseTimer scan_timer(metrics, "analyzer.triple_scan");
   // One heartbeat per completed row (from whichever thread finished it):
@@ -445,7 +507,8 @@ RobustnessResult RobustnessAnalyzer::Scan(const Allocation& alloc,
   for (TxnId t = 0; t < n; ++t) {
     if (alloc.level(t) == IsolationLevel::kSSI) ssi_mask.Set(t);
   }
-  const RowScan scan{alloc, ssi_mask, focus, nullptr, options.cancel, metrics};
+  const RowScan scan{alloc,   ssi_mask,      focus, nullptr, options.cancel,
+                     metrics, &found.chains, limit};
   // A triple through a focus member t has t1 = t or t1 conflicting with t
   // (its t2 and tm candidates lie in t1's conflict row), so a delta scan
   // skips every other row.
@@ -462,41 +525,39 @@ RobustnessResult RobustnessAnalyzer::Scan(const Allocation& alloc,
   auto cancelled = [cancel] {
     return cancel != nullptr && cancel->load(std::memory_order_relaxed);
   };
+  auto finish = [&](uint64_t words) {
+    if (cancelled()) {
+      // Partial scan: strip every witness so nothing downstream trusts it.
+      found.chains.clear();
+      found.cancelled = true;
+    }
+    if (metrics != nullptr) {
+      RecordScanMetrics(metrics, found, focus, enumerate, n, words,
+                        rows_scanned);
+    }
+    return std::move(found);
+  };
   const int threads = ThreadPool::ResolveThreads(options.num_threads);
   if (threads <= 1) {
-    for (TxnId t1 = 0; t1 < n && !cancelled(); ++t1) {
+    for (TxnId t1 = 0; t1 < n && !cancelled() && found.chains.size() < limit;
+         ++t1) {
       if (skip(t1)) continue;
-      std::optional<CounterexampleChain> chain = CheckRow(
-          scan, t1, metrics != nullptr ? &words_scanned : nullptr);
+      CheckRow(scan, t1, metrics != nullptr ? &words_scanned : nullptr);
       ++rows_scanned;
       watch.Heartbeat();
-      if (chain.has_value()) {
-        result.robust = false;
-        result.triples_examined = internal::TriplesUpToWitness(
-            n, chain->t1, chain->t2, chain->tm);
-        result.counterexample = std::move(chain);
-        break;
-      }
-    }
-    if (cancelled()) {
-      // Partial scan: strip any verdict so nothing downstream trusts it.
-      result = RobustnessResult{};
-      result.cancelled = true;
-    } else if (result.robust) {
-      result.triples_examined = internal::TriplesWhenRobust(n);
     }
     if (metrics != nullptr) {
       metrics->histogram("analyzer.rows_per_thread").Observe(rows_scanned);
-      RecordCheckMetrics(metrics, result, focus, words_scanned, rows_scanned);
     }
-    return result;
+    return finish(words_scanned);
   }
 
-  // Parallel rows with deterministic reduction: `best` tracks the lowest
-  // t1 known to hold a witness (CAS-min). A row only abandons when a
-  // strictly lower row has a witness, so every row below the final winner
-  // completed a full, witness-free scan — making the winner exactly the
-  // sequential answer and the closed-form triple count exact.
+  // Parallel rows with deterministic reduction: each row collects up to
+  // `limit` witnesses of its own, and `best` tracks the lowest t1 whose
+  // row alone fills the limit (CAS-min). A row only abandons when a
+  // strictly lower row fills the limit, so every row below the final
+  // `best` completed a full scan — concatenating the rows in t1 order and
+  // truncating at `limit` is exactly the sequential answer.
   //
   // Metrics accounting keeps off the shared cache lines the scan itself
   // uses: words scanned accumulate per row into one atomic, and per-thread
@@ -512,26 +573,25 @@ RobustnessResult RobustnessAnalyzer::Scan(const Allocation& alloc,
   if (instrumented) slots = std::make_unique<std::array<RowSlot, 64>>();
 
   std::atomic<uint32_t> best{static_cast<uint32_t>(n)};
-  RowScan parallel_scan = scan;
-  parallel_scan.best = &best;
-  std::vector<std::optional<CounterexampleChain>> rows(n);
+  std::vector<std::vector<CounterexampleChain>> rows(n);
   ThreadPool::Shared().ParallelFor(
       n, threads,
       [&](size_t i) {
         if (i >= best.load(std::memory_order_acquire)) return;
         if (skip(i) || cancelled()) return;
+        RowScan row_scan = scan;
+        row_scan.best = &best;
+        row_scan.found = &rows[i];
         uint64_t row_words = 0;
-        std::optional<CounterexampleChain> chain =
-            CheckRow(parallel_scan, static_cast<TxnId>(i),
-                     instrumented ? &row_words : nullptr);
+        CheckRow(row_scan, static_cast<TxnId>(i),
+                 instrumented ? &row_words : nullptr);
         watch.Heartbeat();
         if (instrumented) {
           words_total.fetch_add(row_words, std::memory_order_relaxed);
           (*slots)[MetricsRegistry::CurrentThreadId() % slots->size()]
               .rows.fetch_add(1, std::memory_order_relaxed);
         }
-        if (!chain.has_value()) return;
-        rows[i] = std::move(chain);
+        if (rows[i].size() < limit) return;
         uint32_t current = best.load(std::memory_order_acquire);
         while (i < current &&
                !best.compare_exchange_weak(current, static_cast<uint32_t>(i),
@@ -539,19 +599,11 @@ RobustnessResult RobustnessAnalyzer::Scan(const Allocation& alloc,
         }
       },
       metrics);
-  uint32_t winner = best.load(std::memory_order_acquire);
-  if (cancelled()) {
-    // Some rows were skipped or abandoned; any witness found is not
-    // necessarily the deterministic lowest one, so drop the verdict.
-    result.cancelled = true;
-  } else if (winner < n) {
-    std::optional<CounterexampleChain>& chain = rows[winner];
-    result.robust = false;
-    result.triples_examined =
-        internal::TriplesUpToWitness(n, chain->t1, chain->t2, chain->tm);
-    result.counterexample = std::move(chain);
-  } else {
-    result.triples_examined = internal::TriplesWhenRobust(n);
+  for (uint32_t t1 = 0; t1 < n && found.chains.size() < limit; ++t1) {
+    for (CounterexampleChain& chain : rows[t1]) {
+      if (found.chains.size() >= limit) break;
+      found.chains.push_back(std::move(chain));
+    }
   }
   if (instrumented) {
     Histogram& balance = metrics->histogram("analyzer.rows_per_thread");
@@ -561,11 +613,8 @@ RobustnessResult RobustnessAnalyzer::Scan(const Allocation& alloc,
       balance.Observe(per_thread);
       rows_scanned += per_thread;
     }
-    RecordCheckMetrics(metrics, result, focus,
-                       words_total.load(std::memory_order_relaxed),
-                       rows_scanned);
   }
-  return result;
+  return finish(words_total.load(std::memory_order_relaxed));
 }
 
 }  // namespace mvrob

@@ -14,6 +14,15 @@
 
 namespace mvrob {
 
+/// The witnesses one enumeration found, in ascending (t1, t2, tm) order.
+struct CounterexampleList {
+  std::vector<CounterexampleChain> chains;
+  /// True when CheckOptions::cancel was raised before the scan completed.
+  /// A cancelled list carries no verdict: `chains` is empty, which must
+  /// not be read as "robust".
+  bool cancelled = false;
+};
+
 /// Bitset-kernel implementation of Algorithm 1.
 ///
 /// CheckRobustness (the reference implementation) re-derives conflict
@@ -34,7 +43,7 @@ namespace mvrob {
 ///
 /// Witness recovery stays on the same bit rows: the inner chain is a BFS
 /// over conflict_ rows restricted to T \ {T1, T2, Tm} minus T1's conflict
-/// row, visiting nodes in MixedIsoGraph::FindInnerChain's order (sources
+/// row, visiting nodes in the reference checker's order (sources
 /// ascending, FIFO, neighbours ascending, first discoverer as parent), so
 /// the chain is identical without building adjacency lists or components.
 ///
@@ -46,6 +55,13 @@ namespace mvrob {
 /// only at a changed T2 or Tm, and no other row. It runs through the same
 /// row scan as Check (cancel, watchdog, heartbeats, the lowest-witness
 /// reduction) and returns exactly Check's result.
+///
+/// FindAll enumerates every witness instead of stopping at the first, in
+/// both forms (full, and delta against a robust base). It runs the same
+/// row scan: witness recovery appends to a collector and continues until
+/// the limit. The chains, order included, equal the reference enumeration
+/// (oracle/counterexamples.h) at every limit and thread count. This is the
+/// inner loop of the promotion frontier and of `report`'s trouble spots.
 ///
 /// The payoff is twofold: a single decision drops from the reference
 /// checker's per-triple operation loops to a handful of word operations
@@ -98,6 +114,23 @@ class RobustnessAnalyzer {
                               const Allocation& candidate,
                               const CheckOptions& options = {}) const;
 
+  /// Every witness of Algorithm 1 against `alloc`, up to `limit`, in
+  /// ascending (t1, t2, tm) order: the chains the reference enumeration
+  /// (oracle/counterexamples.h) returns, at any options.num_threads. With
+  /// limit > 0 and no cancel, empty iff robust. Metrics count it in
+  /// analyzer.enumerations and analyzer.witnesses_enumerated (not in
+  /// analyzer.checks).
+  CounterexampleList FindAll(const Allocation& alloc, size_t limit,
+                             const CheckOptions& options = {}) const;
+
+  /// Same for `candidate`, given that `base` (same size) is robust: every
+  /// witness against `candidate` then contains a transaction whose level
+  /// differs between the two, so only those triples are scanned, as in
+  /// CheckDelta. The result equals FindAll(candidate, limit, options).
+  CounterexampleList FindAll(const Allocation& base,
+                             const Allocation& candidate, size_t limit,
+                             const CheckOptions& options = {}) const;
+
   const TransactionSet& txns() const { return txns_; }
 
  private:
@@ -120,36 +153,43 @@ class RobustnessAnalyzer {
   /// independent given (t1, k), so cached across Algorithm 2's checks.
   ConstBitSpan RcCandidatesFor(TxnId t1, int k) const;
 
-  // What every row of one Check / CheckDelta call shares.
+  // What every row of one Check / CheckDelta / FindAll call shares.
   struct RowScan {
     const Allocation& alloc;
     ConstBitSpan ssi_mask;
     // Delta focus: null scans every triple; otherwise rows with t1 in the
     // set are scanned in full and other rows only at a t2 or tm in it.
     const DenseBitset* focus;
-    // Lowest t1 known to hold a witness (parallel scans only), or null.
+    // Lowest t1 whose row alone fills the limit (parallel scans only), or
+    // null.
     const std::atomic<uint32_t>* best;
     const std::atomic<bool>* cancel;
     MetricsRegistry* metrics;  // Witness-recovery timer; may be null.
+    // The collector: witnesses are appended here until it holds `limit`.
+    std::vector<CounterexampleChain>* found;
+    size_t limit;
   };
 
-  /// The row loops shared by Check and CheckDelta (focus as in RowScan).
-  RobustnessResult Scan(const Allocation& alloc, const DenseBitset* focus,
-                        const CheckOptions& options) const;
+  /// The row loops shared by Check, CheckDelta and FindAll (focus as in
+  /// RowScan): up to `limit` witnesses in ascending (t1, t2, tm) order.
+  /// `enumerate` only selects which metrics the call is counted in.
+  CounterexampleList Scan(const Allocation& alloc, const DenseBitset* focus,
+                          size_t limit, bool enumerate,
+                          const CheckOptions& options) const;
 
-  /// Scans one t1 row: returns the lowest-(t2, tm) witness chain of the
-  /// row, or nullopt. When scan.best is non-null the scan abandons early
-  /// once a lower t1 row is known to have a witness; when scan.cancel is
-  /// non-null and raised, the scan abandons at the next t2 boundary
-  /// (Scan maps this to a cancelled result). When `words_scanned` is
-  /// non-null, the number of 64-bit words touched by the row's word-wise
-  /// mask operations is accumulated into it.
-  std::optional<CounterexampleChain> CheckRow(const RowScan& scan, TxnId t1,
-                                              uint64_t* words_scanned) const;
+  /// Scans one t1 row, appending its witness chains in ascending (t2, tm)
+  /// order to scan.found until that holds scan.limit chains. When
+  /// scan.best is non-null the scan abandons early once a lower t1 row is
+  /// known to fill the limit; when scan.cancel is non-null and raised, the
+  /// scan abandons at the next t2 boundary (Scan maps this to a cancelled
+  /// result). When `words_scanned` is non-null, the number of 64-bit words
+  /// touched by the row's word-wise mask operations is accumulated into
+  /// it.
+  void CheckRow(const RowScan& scan, TxnId t1, uint64_t* words_scanned) const;
 
   /// The inner chain of Definition 3.1 for a reachable triple: the path
-  /// MixedIsoGraph(t1, {t2, tm}).FindInnerChain(t2, tm) returns, found by
-  /// a BFS over conflict_ rows.
+  /// the reference checker's mixed-iso-graph(t1, T \ {t1, t2, tm}) search
+  /// returns, found by a BFS over conflict_ rows.
   std::optional<std::vector<TxnId>> InnerChain(TxnId t1, TxnId t2,
                                                TxnId tm) const;
 

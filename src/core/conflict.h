@@ -38,8 +38,8 @@ std::optional<std::pair<OpRef, OpRef>> FindConflictingPair(
 /// The full pairwise conflict relation as a symmetric bit matrix:
 /// bit (i, j) set iff TxnsConflict(txns, i, j). Built once in O(|T|^2)
 /// read/write-set intersections and shared across the O(|T|^3) triple
-/// space (MixedIsoGraph accepts it to avoid recomputing TxnsConflict per
-/// candidate counterexample).
+/// space (the reference checker's mixed-iso-graph accepts it to avoid
+/// recomputing TxnsConflict per candidate counterexample).
 BitMatrix BuildConflictMatrix(const TransactionSet& txns);
 
 /// A sound group-level pruning hook for conflict-matrix construction:

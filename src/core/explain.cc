@@ -1,6 +1,8 @@
 #include "core/explain.h"
 
+#include "common/metrics.h"
 #include "common/string_util.h"
+#include "core/analyzer.h"
 
 namespace mvrob {
 
@@ -22,12 +24,19 @@ std::string AllocationExplanation::ToString(
 }
 
 StatusOr<AllocationExplanation> ExplainAllocation(
-    const TransactionSet& txns, const Allocation& allocation) {
+    const TransactionSet& txns, const Allocation& allocation,
+    const CheckOptions& options) {
   if (allocation.size() != txns.size()) {
     return Status::InvalidArgument("allocation size mismatch");
   }
-  if (RobustnessResult base = CheckRobustness(txns, allocation);
-      !base.robust) {
+  PhaseTimer timer(options.metrics, "explain.checks");
+  auto cancelled = [] {
+    return Status::ResourceExhausted("the explanation was cancelled");
+  };
+  const RobustnessAnalyzer analyzer(txns, options.metrics);
+  const RobustnessResult base = analyzer.Check(allocation, options);
+  if (base.cancelled) return cancelled();
+  if (!base.robust) {
     const CounterexampleChain& chain = *base.counterexample;
     std::string members;
     for (TxnId t : chain.ChainTxns()) {
@@ -48,8 +57,10 @@ StatusOr<AllocationExplanation> ExplainAllocation(
     entry.assigned = allocation.level(t);
     for (IsolationLevel lower : kAllIsolationLevels) {
       if (!(lower < entry.assigned)) continue;
+      // The base is robust, so only the triples through t can break.
       RobustnessResult result =
-          CheckRobustness(txns, allocation.With(t, lower));
+          analyzer.CheckDelta(allocation, allocation.With(t, lower), options);
+      if (result.cancelled) return cancelled();
       if (!result.robust) {
         entry.obstacles.push_back(
             AllocationObstacle::Obstacle{lower,

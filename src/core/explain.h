@@ -38,9 +38,19 @@ struct AllocationExplanation {
 
 /// Explains `allocation` for `txns`: for every transaction and every level
 /// below its assigned one, records Algorithm 1's counterexample against
-/// the lowered allocation (if any). The allocation must be robust.
+/// the lowered allocation (if any). The allocation must be robust
+/// (FailedPrecondition otherwise, naming the chain that breaks it).
+///
+/// Runs on one RobustnessAnalyzer: a full Check of the allocation, then
+/// one CheckDelta(allocation, allocation.With(t, lower)) per obstacle,
+/// which scans only the triples through t. Every chain equals the one the
+/// reference CheckRobustness returns for the lowered allocation.
+/// `options` is forwarded to every check (threads, metrics, cancel,
+/// watchdog); the whole explanation is timed as the explain.checks phase.
+/// A raised cancel flag fails it with ResourceExhausted.
 StatusOr<AllocationExplanation> ExplainAllocation(
-    const TransactionSet& txns, const Allocation& allocation);
+    const TransactionSet& txns, const Allocation& allocation,
+    const CheckOptions& options = {});
 
 }  // namespace mvrob
 

@@ -79,9 +79,11 @@ struct CheckOptions {
   /// Optional cooperative cancellation flag, polled inside the triple
   /// scan. When it becomes true mid-check, CheckRobustness(txns, alloc,
   /// options) / RobustnessAnalyzer::Check return promptly with
-  /// RobustnessResult::cancelled set (and no verdict). Lets a long-running
-  /// caller — e.g. `mvrob serve`'s periodic witness check — shut down
-  /// without waiting for a full scan. Null (the default) disables polling.
+  /// RobustnessResult::cancelled set (and no verdict), and
+  /// RobustnessAnalyzer::FindAll with CounterexampleList::cancelled set
+  /// (and no chains). Lets a long-running caller — e.g. `mvrob serve`'s
+  /// periodic witness check — shut down without waiting for a full scan.
+  /// Null (the default) disables polling.
   const std::atomic<bool>* cancel = nullptr;
   /// Optional stall watchdog (common/watchdog.h): the triple scan runs
   /// under a monitored "analyzer.triple_scan" scope, heartbeating once per
@@ -97,9 +99,11 @@ struct CheckOptions {
 ///
 /// This is the *reference* implementation: it re-derives operation-level
 /// facts per triple and is deliberately close to the paper's pseudocode.
-/// Production callers that check repeatedly or want parallelism should use
-/// RobustnessAnalyzer (or the CheckOptions overload below, which builds
-/// one internally).
+/// It stays as a referee for tests, `mvrob crosscheck` and the exhaustive
+/// oracle (oracle/), next to the reference enumeration
+/// (oracle/counterexamples.h). Production callers use RobustnessAnalyzer
+/// — Check, CheckDelta and FindAll — or the CheckOptions overload below,
+/// which builds one internally.
 RobustnessResult CheckRobustness(const TransactionSet& txns,
                                  const Allocation& alloc);
 
@@ -109,17 +113,6 @@ RobustnessResult CheckRobustness(const TransactionSet& txns,
 RobustnessResult CheckRobustness(const TransactionSet& txns,
                                  const Allocation& alloc,
                                  const CheckOptions& options);
-
-/// Enumerates counterexample chains — one per triple (T1, T2, Tm) that
-/// witnesses non-robustness — up to `limit`, in ascending (t1, t2, tm)
-/// order. Empty iff robust. Useful for diagnostics: a workload usually
-/// breaks in several places at once, and fixing only the first reported
-/// chain rarely suffices. With options.num_threads > 1 the t1 rows are
-/// scanned in parallel; the returned chains (order included) are identical
-/// to the sequential scan.
-std::vector<CounterexampleChain> FindAllCounterexamples(
-    const TransactionSet& txns, const Allocation& alloc, size_t limit = 32,
-    const CheckOptions& options = {});
 
 namespace internal {
 

@@ -4,7 +4,9 @@
 #include <map>
 #include <utility>
 
+#include "common/metrics.h"
 #include "common/string_util.h"
+#include "core/analyzer.h"
 
 namespace mvrob {
 
@@ -43,21 +45,26 @@ std::vector<IsolationLevel> LevelsBelow(IsolationLevel level) {
 /// for each transaction above RC, lower it and harvest the witness chains
 /// that block the lowering — their rw read legs, mapped back through the
 /// rewrite, are the only promotions that can change Algorithm 2's answer.
+/// `cur_alloc` is Algorithm 2's optimum and hence robust, so every probe
+/// is a delta enumeration over the triples through the lowered
+/// transaction.
 std::vector<OpRef> FrontierCandidates(const PromotionRewrite& rewrite,
                                       const Allocation& cur_alloc,
                                       const PromotionSet& chosen,
                                       const PromoteOptions& options,
                                       PromotionPlan& plan) {
+  PhaseTimer timer(options.check.metrics, "promote.frontier");
   const TransactionSet& cur = rewrite.promoted;
+  const RobustnessAnalyzer analyzer(cur, options.check.metrics);
   std::vector<OpRef> out;
   for (TxnId t = 0; t < cur.size(); ++t) {
     for (IsolationLevel lower : LevelsBelow(cur_alloc.level(t))) {
       if (Cancelled(options)) return out;
-      std::vector<CounterexampleChain> chains = FindAllCounterexamples(
-          cur, cur_alloc.With(t, lower), options.witnesses_per_round,
-          options.check);
+      CounterexampleList found =
+          analyzer.FindAll(cur_alloc, cur_alloc.With(t, lower),
+                           options.witnesses_per_round, options.check);
       ++plan.robustness_checks;
-      for (const CounterexampleChain& chain : chains) {
+      for (const CounterexampleChain& chain : found.chains) {
         for (OpRef ref : CandidatesFromChain(cur, chain)) {
           std::optional<OpRef> base = rewrite.OriginalRef(ref);
           if (base.has_value() && !chosen.Contains(*base)) {
@@ -72,7 +79,23 @@ std::vector<OpRef> FrontierCandidates(const PromotionRewrite& rewrite,
   return out;
 }
 
-/// Algorithm 2 on `txns` with `set` applied; accumulates effort counters.
+/// Algorithm 2 on `txns`, timed as the promote.evaluate phase; accumulates
+/// the plan's effort counters.
+OptimalAllocationResult Optimum(const TransactionSet& txns,
+                                const PromoteOptions& options,
+                                PromotionPlan& plan) {
+  PhaseTimer timer(options.check.metrics, "promote.evaluate");
+  OptimalAllocationResult result =
+      ComputeOptimalAllocation(txns, options.check);
+  ++plan.allocations_computed;
+  plan.robustness_checks += result.robustness_checks;
+  // A cancelled Algorithm 2 stops above the optimum; flag the plan rather
+  // than let its cost pass for a verdict.
+  if (result.cancelled) plan.cancelled = true;
+  return result;
+}
+
+/// Algorithm 2 on `txns` with `set` applied.
 struct Evaluation {
   PromotionRewrite rewrite;
   Allocation allocation;
@@ -87,14 +110,7 @@ StatusOr<Evaluation> Evaluate(const TransactionSet& txns,
   if (!rewrite.ok()) return rewrite.status();
   Evaluation eval;
   eval.rewrite = std::move(*rewrite);
-  OptimalAllocationResult result =
-      ComputeOptimalAllocation(eval.rewrite.promoted, options.check);
-  ++plan.allocations_computed;
-  plan.robustness_checks += result.robustness_checks;
-  // A cancelled Algorithm 2 stops above the optimum; flag the plan rather
-  // than let its cost pass for a verdict.
-  if (result.cancelled) plan.cancelled = true;
-  eval.allocation = std::move(result.allocation);
+  eval.allocation = Optimum(eval.rewrite.promoted, options, plan).allocation;
   eval.cost = ComputeAllocationCost(eval.allocation, options);
   return eval;
 }
@@ -269,10 +285,7 @@ StatusOr<PromotionPlan> PromoteForTarget(const TransactionSet& txns,
   plan.target_mode = true;
   plan.target = target;
   // Baseline and "before" framing: Algorithm 2 on the unpromoted workload.
-  OptimalAllocationResult base = ComputeOptimalAllocation(txns, options.check);
-  ++plan.allocations_computed;
-  plan.robustness_checks += base.robustness_checks;
-  if (base.cancelled) plan.cancelled = true;
+  OptimalAllocationResult base = Optimum(txns, options, plan);
   plan.before_allocation = base.allocation;
   plan.before_cost = ComputeAllocationCost(base.allocation, options);
 
@@ -285,16 +298,20 @@ StatusOr<PromotionPlan> PromoteForTarget(const TransactionSet& txns,
       plan.cancelled = true;
       break;
     }
-    std::vector<CounterexampleChain> chains =
-        FindAllCounterexamples(current.promoted, target,
-                               options.witnesses_per_round, options.check);
+    CounterexampleList found;
+    {
+      PhaseTimer timer(options.check.metrics, "promote.frontier");
+      found = RobustnessAnalyzer(current.promoted, options.check.metrics)
+                  .FindAll(target, options.witnesses_per_round, options.check);
+    }
     ++plan.robustness_checks;
-    if (Cancelled(options)) {
-      // An interrupted scan can return an empty chain list without the
+    if (found.cancelled) {
+      // An interrupted scan returns an empty chain list without the
       // workload being robust — never read it as success.
       plan.cancelled = true;
       break;
     }
+    const std::vector<CounterexampleChain>& chains = found.chains;
     if (chains.empty()) {
       plan.target_met = true;
       break;
@@ -336,11 +353,7 @@ StatusOr<PromotionPlan> PromoteForTarget(const TransactionSet& txns,
 
   // Report the promoted workload's own optimum as the "after" allocation —
   // it is never above the target when the target was met.
-  OptimalAllocationResult after =
-      ComputeOptimalAllocation(current.promoted, options.check);
-  ++plan.allocations_computed;
-  plan.robustness_checks += after.robustness_checks;
-  if (after.cancelled) plan.cancelled = true;
+  OptimalAllocationResult after = Optimum(current.promoted, options, plan);
   plan.promoted = std::move(current.promoted);
   plan.after_allocation = std::move(after.allocation);
   plan.after_cost = ComputeAllocationCost(plan.after_allocation, options);

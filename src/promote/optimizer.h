@@ -104,14 +104,21 @@ struct PromotionPlan {
 /// the incremented promotion set, and the best strictly-improving one is
 /// committed. When no single promotion improves, the exhaustive small-k
 /// fallback tries subsets of the accumulated candidate pool.
+///
+/// The frontier runs on one RobustnessAnalyzer per round: each lowering
+/// probe is a delta FindAll against the (robust) current optimum. With
+/// options.check.metrics set, the probes are timed as the promote.frontier
+/// phase and the Algorithm 2 runs as promote.evaluate.
 StatusOr<PromotionPlan> OptimizePromotions(const TransactionSet& txns,
                                            const PromoteOptions& options = {});
 
 /// Target mode: finds a small promotion set making `txns` robust under
 /// the fixed `target` allocation. Greedy set cover over the witnesses:
 /// each round gathers up to `witnesses_per_round` counterexample chains
-/// against `target` and promotes the candidate read hitting the most
-/// chains. Fails with FailedPrecondition if the budget is exhausted or a
+/// against `target` (a full FindAll on one RobustnessAnalyzer over the
+/// round's rewrite, timed as promote.frontier) and promotes the candidate
+/// read hitting the most chains. A cancelled enumeration ends the search
+/// with `cancelled` set and `target_met` false. Fails with FailedPrecondition if the budget is exhausted or a
 /// witness carries no promotable read leg (the workload cannot be made
 /// robust under `target` by read promotion alone).
 StatusOr<PromotionPlan> PromoteForTarget(const TransactionSet& txns,

@@ -6,6 +6,7 @@
 #include "core/split_schedule.h"
 #include "fixtures.h"
 #include "oracle/brute_force.h"
+#include "oracle/counterexamples.h"
 #include "iso/allowed.h"
 #include "schedule/serializability.h"
 #include "txn/parser.h"

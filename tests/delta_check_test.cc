@@ -31,7 +31,6 @@
 #include "templates/promote.h"
 #include "templates/robustness.h"
 #include "workloads/registry.h"
-#include "workloads/synthetic.h"
 
 namespace mvrob {
 namespace {
@@ -251,30 +250,6 @@ void CheckAllLoops(const TransactionSet& txns, uint64_t seed) {
   }
 }
 
-// The shapes of the robustness property corpus (2–4 transactions, both
-// access regimes) and larger contended sets up to 12 transactions.
-TransactionSet SyntheticSet(uint64_t seed) {
-  SyntheticParams params;
-  if (seed % 4 == 0) {
-    params.num_txns = 2 + static_cast<int>(seed / 4 % 3);
-    params.num_objects = 2 + static_cast<int>(seed % 3);
-    params.max_ops = 2 + static_cast<int>(seed % 3);
-    params.write_fraction = 0.5;
-    params.hotspot_fraction = 0.5;
-  } else {
-    params.num_txns = 3 + static_cast<int>(seed % 10);
-    params.num_objects = 3 + static_cast<int>(seed % 6);
-    params.max_ops = 5;
-    params.write_fraction = 0.45;
-    params.hotspot_fraction = 0.4;
-  }
-  params.min_ops = 1;
-  params.num_hotspots = 2;
-  params.at_most_one_access = seed % 3 != 0;
-  params.seed = seed * 6007 + 5;
-  return GenerateSynthetic(params);
-}
-
 constexpr uint64_t kSetsPerChunk = 50;
 constexpr uint64_t kChunks = 21;  // 1050 random sets.
 
@@ -283,7 +258,7 @@ class DeltaCheckSyntheticTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(DeltaCheckSyntheticTest, LoweringLoopsAgreeWithFullChecks) {
   for (uint64_t i = 0; i < kSetsPerChunk; ++i) {
     const uint64_t seed = GetParam() * kSetsPerChunk + i;
-    CheckAllLoops(SyntheticSet(seed), seed);
+    CheckAllLoops(DeltaCorpusSet(seed), seed);
     if (HasFatalFailure()) return;
   }
 }

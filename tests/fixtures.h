@@ -3,16 +3,19 @@
 //    explicit version function and version order;
 //  - Figure 4 / Example 2.6: the two-writer schedule showing the asymmetry
 //    of mixed allocations;
-//  - Figure 5 / Example 5.2: a schedule allowed under SI but not RC.
+//  - Figure 5 / Example 5.2: a schedule allowed under SI but not RC;
+// and the random transaction sets of the analyzer differential tests.
 #ifndef MVROB_TESTS_FIXTURES_H_
 #define MVROB_TESTS_FIXTURES_H_
 
 #include <cassert>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "schedule/schedule.h"
 #include "txn/parser.h"
+#include "workloads/synthetic.h"
 
 namespace mvrob {
 
@@ -116,6 +119,32 @@ inline Schedule Example52Schedule(const TransactionSet& txns) {
       std::move(version_order));
   assert(schedule.ok());
   return std::move(schedule).value();
+}
+
+// The random sets of the analyzer differential tests (delta checks,
+// witness enumeration): the shapes of the robustness property corpus (2–4
+// transactions, both access regimes) and larger contended sets up to 12
+// transactions.
+inline TransactionSet DeltaCorpusSet(uint64_t seed) {
+  SyntheticParams params;
+  if (seed % 4 == 0) {
+    params.num_txns = 2 + static_cast<int>(seed / 4 % 3);
+    params.num_objects = 2 + static_cast<int>(seed % 3);
+    params.max_ops = 2 + static_cast<int>(seed % 3);
+    params.write_fraction = 0.5;
+    params.hotspot_fraction = 0.5;
+  } else {
+    params.num_txns = 3 + static_cast<int>(seed % 10);
+    params.num_objects = 3 + static_cast<int>(seed % 6);
+    params.max_ops = 5;
+    params.write_fraction = 0.45;
+    params.hotspot_fraction = 0.4;
+  }
+  params.min_ops = 1;
+  params.num_hotspots = 2;
+  params.at_most_one_access = seed % 3 != 0;
+  params.seed = seed * 6007 + 5;
+  return GenerateSynthetic(params);
 }
 
 }  // namespace mvrob

@@ -4,10 +4,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli/cli.h"
+#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "core/analyzer.h"
 #include "core/incremental.h"
@@ -296,6 +301,80 @@ TEST(AnalyzerMetricsTest, DeltaChecksCountTheirOwnTriples) {
     }
   }
   EXPECT_GT(witnesses, 0);  // Both verdicts are covered.
+}
+
+// Enumerations count apart from checks: one analyzer.enumerations per
+// call and the chains it returned, never the audited triple count.
+TEST(AnalyzerMetricsTest, EnumerationsCountTheirWitnesses) {
+  const TransactionSet txns = Tpcc();
+  const RobustnessAnalyzer analyzer(txns);
+  const Allocation all_rc = Allocation::AllRC(txns.size());
+  for (int threads : {1, 4}) {
+    MetricsRegistry registry;
+    CheckOptions options;
+    options.num_threads = threads;
+    options.metrics = &registry;
+    CounterexampleList full = analyzer.FindAll(all_rc, 16, options);
+    CounterexampleList delta = analyzer.FindAll(
+        Allocation::AllSSI(txns.size()), all_rc.With(0, IsolationLevel::kSI),
+        16, options);
+    EXPECT_FALSE(full.chains.empty());
+    EXPECT_EQ(registry.counter("analyzer.enumerations").value(), 2u);
+    EXPECT_EQ(registry.counter("analyzer.witnesses_enumerated").value(),
+              full.chains.size() + delta.chains.size());
+    EXPECT_EQ(registry.counter("analyzer.checks").value(), 0u);
+    EXPECT_EQ(registry.counter("analyzer.triples_examined").value(), 0u);
+  }
+}
+
+// The sum of phase histogram `phase` in a --stats-json snapshot, or -1
+// when the phase is absent.
+int64_t PhaseSum(const std::string& snapshot, const std::string& phase) {
+  const size_t at = snapshot.find(StrCat("\"phase.", phase, "_us\":{"));
+  if (at == std::string::npos) return -1;
+  const std::string key = "\"sum\":";
+  return std::stoll(snapshot.substr(snapshot.find(key, at) + key.size()));
+}
+
+// `promote` times its frontier probes and Algorithm 2 runs, and
+// `allocate --explain` its explanation, as phases inside the command's
+// own phase.
+TEST(CliPhaseTest, PromoteAndExplainPhasesNestInTheCommand) {
+  struct Case {
+    std::vector<std::string> args;
+    std::string parent;
+    std::vector<std::string> children;
+  };
+  const std::string path = ::testing::TempDir() + "/mvrob_phase_stats.json";
+  for (const Case& c :
+       {Case{{"promote", "--workload", "smallbank:c=4"},
+             "cli.promote",
+             {"promote.frontier", "promote.evaluate"}},
+        Case{{"allocate", "--workload", "smallbank:c=4", "--explain"},
+             "cli.allocate",
+             {"explain.checks"}}}) {
+    SCOPED_TRACE(c.parent);
+    std::vector<std::string> args = c.args;
+    args.insert(args.end(), {"--stats-json", path});
+    std::ostringstream out;
+    std::ostringstream err;
+    ASSERT_EQ(RunCli(args, out, err), 0) << err.str();
+    std::ifstream file(path);
+    std::stringstream snapshot;
+    snapshot << file.rdbuf();
+    const int64_t parent = PhaseSum(snapshot.str(), c.parent);
+    ASSERT_GE(parent, 0) << snapshot.str();
+    int64_t children = 0;
+    for (const std::string& child : c.children) {
+      const int64_t sum = PhaseSum(snapshot.str(), child);
+      ASSERT_GE(sum, 0) << child << " missing: " << snapshot.str();
+      EXPECT_LE(sum, parent) << child;
+      children += sum;
+    }
+    // The children run one after another, never overlapping.
+    EXPECT_LE(children, parent);
+    std::remove(path.c_str());
+  }
 }
 
 TEST(AllocationMetricsTest, Algorithm2CountersAndUnchangedResult) {

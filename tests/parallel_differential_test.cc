@@ -16,6 +16,7 @@
 #include "core/optimal_allocation.h"
 #include "core/robustness.h"
 #include "core/split_schedule.h"
+#include "oracle/counterexamples.h"
 #include "promote/optimizer.h"
 #include "workloads/registry.h"
 #include "workloads/synthetic.h"

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "core/optimal_allocation.h"
+#include "oracle/counterexamples.h"
 #include "promote/export.h"
 #include "promote/optimizer.h"
 #include "promote/promotion.h"

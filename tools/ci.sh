@@ -412,6 +412,51 @@ PY
   rm -f "$PROMOTE_OUT"
 done
 
+echo "==== pathological analyzer rows (promote + explain, fail fast) ===="
+# The promotion frontier and the explanation run on the bitset analyzer;
+# on the per-triple reference checker these rows took minutes. Each must
+# finish within 30 s, and its stdout must equal the golden recorded from
+# the reference-checker build (tests/golden/smallbank_c*.{promote,explain}.txt).
+PATHOLOGICAL_OUT="$(mktemp)"
+run_row() {
+  local golden="$1"
+  shift
+  if ! timeout 30 build/tools/mvrob "$@" >"$PATHOLOGICAL_OUT"; then
+    echo "error: 'mvrob $*' failed or exceeded 30 s" >&2
+    exit 1
+  fi
+  if [[ -n "$golden" ]] && ! diff -q "$golden" "$PATHOLOGICAL_OUT" >/dev/null; then
+    echo "error: 'mvrob $*' differs from $golden" >&2
+    diff "$golden" "$PATHOLOGICAL_OUT" | head -20 >&2
+    exit 1
+  fi
+}
+for c in 8 16 32; do
+  run_row "tests/golden/smallbank_c$c.promote.txt" \
+    promote --workload "smallbank:c=$c"
+done
+for c in 8 16; do
+  run_row "tests/golden/smallbank_c$c.explain.txt" \
+    allocate --workload "smallbank:c=$c" --explain
+done
+run_row "" allocate --workload smallbank:c=96 --explain
+rm -f "$PATHOLOGICAL_OUT"
+echo "pathological rows OK (promote c=32, allocate --explain c=96 under 30 s)"
+
+echo "==== reference-checker guard ===="
+# The per-triple reference enumeration and the mixed-iso-graph are
+# referees: outside src/oracle/ and their own files, no production source
+# may name them (production code runs on RobustnessAnalyzer).
+REFERENCE_LEAKS="$(grep -rlE 'FindAllCounterexamples|MixedIsoGraph' src |
+  grep -vE '^src/oracle/|^src/core/(robustness|mixed_iso_graph)\.(h|cc)$' ||
+  true)"
+if [[ -n "$REFERENCE_LEAKS" ]]; then
+  echo "error: production sources name the reference checker:" >&2
+  echo "$REFERENCE_LEAKS" >&2
+  exit 1
+fi
+echo "reference-checker guard OK"
+
 echo "==== template smoke (predicate reads, constraints, witness JSON) ===="
 # The template subsystem end to end on the documented showcase: the
 # declared constraint must buy a strictly cheaper allocation than the
@@ -578,18 +623,18 @@ echo "==== TSan build (MVROB_SANITIZE=thread) ===="
 cmake -B build-tsan -S . -DMVROB_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"$JOBS" --target \
   common_test parallel_differential_test concurrent_engine_test profiler_test \
-  delta_check_test mvcc_test
+  delta_check_test find_all_test mvcc_test
 MVROB_POOL_WORKERS=3 TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir build-tsan --output-on-failure -j"$JOBS" \
-  -R 'ThreadPool|ParallelDifferential|ParallelAllocation|IncrementalParallel|Concurrent|DeltaCheck|RunWorkload'
+  -R 'ThreadPool|ParallelDifferential|ParallelAllocation|IncrementalParallel|Concurrent|DeltaCheck|FindAll|RunWorkload'
 
 echo "==== ASan build (MVROB_SANITIZE=address) ===="
 cmake -B build-asan -S . -DMVROB_SANITIZE=address >/dev/null
 cmake --build build-asan -j"$JOBS" --target \
   common_test parallel_differential_test core_test delta_check_test \
-  mvcc_test concurrent_engine_test
+  find_all_test mvcc_test concurrent_engine_test
 MVROB_POOL_WORKERS=3 \
   ctest --test-dir build-asan --output-on-failure -j"$JOBS" \
-  -R 'DenseBitset|BitMatrix|ThreadPool|ParallelDifferential|Core|Analyzer|DeltaCheck|RunWorkload'
+  -R 'DenseBitset|BitMatrix|ThreadPool|ParallelDifferential|Core|Analyzer|DeltaCheck|FindAll|RunWorkload'
 
 echo "==== all CI stages passed ===="
