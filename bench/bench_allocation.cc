@@ -5,8 +5,8 @@
 
 #include "core/incremental.h"
 #include "core/optimal_allocation.h"
-#include "core/rc_si_allocation.h"
 #include "core/robustness.h"
+#include "oracle/reference_checker.h"
 #include "workloads/smallbank.h"
 #include "workloads/synthetic.h"
 #include "workloads/tpcc.h"
@@ -74,8 +74,11 @@ void BM_RcSiAllocation_ScaleTxns(benchmark::State& state) {
   TransactionSet txns = MakeWorkload(n, 5);
   bool allocatable = false;
   for (auto _ : state) {
-    RcSiAllocationResult result = ComputeOptimalRcSiAllocation(txns);
-    allocatable = result.allocatable;
+    OptimalAllocationResult result =
+        ComputeOptimalAllocation(RobustnessAnalyzer(txns),
+                                 AllocationBounds::RcSi(txns.size()))
+            .value();
+    allocatable = result.feasible;
     benchmark::DoNotOptimize(result);
   }
   state.counters["allocatable"] = allocatable ? 1 : 0;

@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "core/robustness.h"
+#include "oracle/reference_checker.h"
 #include "oracle/statistics.h"
 #include "txn/parser.h"
 #include "workloads/synthetic.h"

@@ -7,6 +7,7 @@
 #include "baseline/rc_robustness.h"
 #include "baseline/si_robustness.h"
 #include "core/robustness.h"
+#include "oracle/reference_checker.h"
 #include "workloads/synthetic.h"
 
 namespace mvrob {

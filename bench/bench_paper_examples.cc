@@ -11,6 +11,7 @@
 #include "core/robustness.h"
 #include "core/split_schedule.h"
 #include "iso/allowed.h"
+#include "oracle/reference_checker.h"
 #include "schedule/serializability.h"
 #include "schedule/serialization_graph.h"
 #include "txn/parser.h"

@@ -7,6 +7,7 @@
 
 #include "core/analyzer.h"
 #include "core/robustness.h"
+#include "oracle/reference_checker.h"
 #include "workloads/synthetic.h"
 
 namespace mvrob {

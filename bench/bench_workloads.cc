@@ -5,9 +5,9 @@
 // levels.
 #include <cstdio>
 
+#include "core/analyzer.h"
 #include "core/optimal_allocation.h"
-#include "core/rc_si_allocation.h"
-#include "core/robustness.h"
+#include "oracle/reference_checker.h"
 #include "workloads/auction.h"
 #include "workloads/smallbank.h"
 #include "workloads/synthetic.h"
@@ -42,11 +42,14 @@ void Report(const Workload& workload) {
     std::printf("  %s\n", optimal.allocation.ToString(txns).c_str());
   }
 
-  RcSiAllocationResult rcsi = ComputeOptimalRcSiAllocation(txns);
-  if (rcsi.allocatable) {
+  OptimalAllocationResult rcsi =
+      ComputeOptimalAllocation(RobustnessAnalyzer(txns),
+                               AllocationBounds::RcSi(txns.size()))
+          .value();
+  if (rcsi.feasible) {
     std::printf("{RC,SI}-allocatable: yes (RC=%zu SI=%zu)\n",
-                rcsi.allocation->CountAt(IsolationLevel::kRC),
-                rcsi.allocation->CountAt(IsolationLevel::kSI));
+                rcsi.allocation.CountAt(IsolationLevel::kRC),
+                rcsi.allocation.CountAt(IsolationLevel::kSI));
   } else {
     std::printf("{RC,SI}-allocatable: no — counterexample: %s\n",
                 rcsi.counterexample->ToString(txns).c_str());

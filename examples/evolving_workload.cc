@@ -6,7 +6,6 @@
 //   $ ./evolving_workload
 #include <cstdio>
 
-#include "core/constrained_allocation.h"
 #include "core/explain.h"
 #include "core/incremental.h"
 
@@ -67,11 +66,11 @@ int main() {
   AllocationBounds bounds = AllocationBounds::Free(with_logger.txns().size());
   bounds.Pin(with_logger.txns().FindTransaction("AuditLog"),
              IsolationLevel::kRC);
-  StatusOr<ConstrainedAllocationResult> constrained =
-      ComputeConstrainedAllocation(with_logger.txns(), bounds);
+  StatusOr<OptimalAllocationResult> constrained = ComputeOptimalAllocation(
+      RobustnessAnalyzer(with_logger.txns()), bounds);
   if (constrained.ok() && constrained->feasible) {
     std::printf("   yes: %s\n",
-                constrained->allocation->ToString(with_logger.txns()).c_str());
+                constrained->allocation.ToString(with_logger.txns()).c_str());
   } else if (constrained.ok()) {
     std::printf("   no: %s\n",
                 constrained->counterexample->ToString(with_logger.txns())

@@ -10,6 +10,7 @@
 #include "core/optimal_allocation.h"
 #include "core/robustness.h"
 #include "core/split_schedule.h"
+#include "oracle/reference_checker.h"
 #include "txn/parser.h"
 
 int main() {

@@ -7,9 +7,9 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "core/analyzer.h"
 #include "core/optimal_allocation.h"
-#include "core/rc_si_allocation.h"
-#include "core/robustness.h"
+#include "oracle/reference_checker.h"
 #include "workloads/tpcc.h"
 
 int main(int argc, char** argv) {
@@ -45,9 +45,12 @@ int main(int argc, char** argv) {
               optimal.allocation.CountAt(IsolationLevel::kSI),
               optimal.allocation.CountAt(IsolationLevel::kSSI));
 
-  RcSiAllocationResult oracle_style = ComputeOptimalRcSiAllocation(tpcc.txns);
+  OptimalAllocationResult oracle_style =
+      ComputeOptimalAllocation(RobustnessAnalyzer(tpcc.txns),
+                               AllocationBounds::RcSi(tpcc.txns.size()))
+          .value();
   std::printf("\nOracle-style {RC,SI} setting: %s\n",
-              oracle_style.allocatable
+              oracle_style.feasible
                   ? "a robust allocation exists (run everything at SI)"
                   : "NO robust allocation exists");
   return 0;

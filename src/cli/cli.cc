@@ -19,11 +19,9 @@
 #include "common/string_util.h"
 #include "common/version.h"
 #include "core/analyzer.h"
-#include "core/constrained_allocation.h"
 #include "core/explain.h"
 #include "core/incremental.h"
 #include "core/optimal_allocation.h"
-#include "core/rc_si_allocation.h"
 #include "core/robustness.h"
 #include "core/split_schedule.h"
 #include "core/witness.h"
@@ -35,6 +33,7 @@
 #include "mvcc/trace.h"
 #include "mvcc/txn_trace.h"
 #include "oracle/brute_force.h"
+#include "oracle/reference_checker.h"
 #include "promote/export.h"
 #include "promote/optimizer.h"
 #include "oracle/split_enumerator.h"
@@ -88,7 +87,9 @@ common flags:
   --default <RC|SI|SSI>    level for unmentioned transactions (default SI)
   --schedule <text>        operation order "R1[x] W2[x] C2 C1" (explore)
   --dot / --timeline       extra renderings (explore)
-  --rcsi                   restrict to {RC, SI} (allocate)
+  --rcsi                   restrict to {RC, SI} (allocate; composes with
+                           --pin/--atmost, which reject --json, --explain
+                           and --witness-json/-dot)
   --explain                per-transaction obstacles (allocate)
   --pin "T1=RC ..."        fix transactions to exact levels (allocate)
   --atmost "T2=SI ..."     per-transaction upper bounds (allocate)
@@ -503,10 +504,14 @@ int CmdCheck(const Flags& flags, std::ostream& out, std::ostream& err,
   return 0;
 }
 
-// Parses --pin / --atmost specs into AllocationBounds.
+// The box `allocate` searches: Free, or RcSi under --rcsi, narrowed by
+// --pin / --atmost. A pin or cap only ever narrows the box, so a pin above
+// SI under --rcsi leaves it empty, which ComputeOptimalAllocation rejects.
 StatusOr<AllocationBounds> LoadBounds(const Flags& flags,
                                       const TransactionSet& txns) {
-  AllocationBounds bounds = AllocationBounds::Free(txns.size());
+  AllocationBounds bounds = flags.Has("rcsi")
+                                ? AllocationBounds::RcSi(txns.size())
+                                : AllocationBounds::Free(txns.size());
   if (flags.Has("pin")) {
     // Reuse the allocation parser: unmentioned transactions default to RC
     // and a second parse with SSI default distinguishes them.
@@ -517,8 +522,10 @@ StatusOr<AllocationBounds> LoadBounds(const Flags& flags,
         ParseAllocation(txns, flags.Get("pin"), IsolationLevel::kSSI);
     if (!high.ok()) return high.status();
     for (TxnId t = 0; t < txns.size(); ++t) {
-      if (low->level(t) == high->level(t)) {
-        bounds.Pin(t, low->level(t));  // Mentioned in the spec.
+      if (low->level(t) != high->level(t)) continue;  // Not mentioned.
+      bounds.AtLeast(t, low->level(t));
+      if (low->level(t) < bounds.max_level[t]) {
+        bounds.AtMost(t, low->level(t));
       }
     }
   }
@@ -541,38 +548,48 @@ int CmdAllocate(const Flags& flags, std::ostream& out, std::ostream& err,
   if (!txns.ok()) return Fail(err, txns.status());
   StatusOr<CheckOptions> options = LoadCheckOptions(flags, metrics);
   if (!options.ok()) return Fail(err, options.status());
+  const bool pinned = flags.Has("pin") || flags.Has("atmost");
+  const bool bounded = pinned || flags.Has("rcsi");
+  if (bounded) {
+    for (const char* output : {"json", "explain", "witness-json",
+                               "witness-dot"}) {
+      if (!flags.Has(output)) continue;
+      return Fail(err, Status::InvalidArgument(StrCat(
+                           "--", output,
+                           " does not apply with --rcsi, --pin or --atmost")));
+    }
+  }
+  StatusOr<AllocationBounds> bounds = LoadBounds(flags, *txns);
+  if (!bounds.ok()) return Fail(err, bounds.status());
 
-  if (flags.Has("pin") || flags.Has("atmost")) {
-    StatusOr<AllocationBounds> bounds = LoadBounds(flags, *txns);
-    if (!bounds.ok()) return Fail(err, bounds.status());
-    StatusOr<ConstrainedAllocationResult> result =
-        ComputeConstrainedAllocation(*txns, *bounds);
-    if (!result.ok()) return Fail(err, result.status());
-    if (!result->feasible) {
+  const RobustnessAnalyzer analyzer(*txns, metrics);
+  StatusOr<OptimalAllocationResult> optimum =
+      ComputeOptimalAllocation(analyzer, *bounds, *options);
+  if (!optimum.ok()) return Fail(err, optimum.status());
+  const OptimalAllocationResult& result = *optimum;
+  if (pinned) {
+    if (!result.feasible) {
       out << "no robust allocation exists within the given bounds\n";
       out << "counterexample at the bounds' top: "
-          << result->counterexample->ToString(*txns) << "\n";
+          << result.counterexample->ToString(*txns) << "\n";
       return 0;
     }
     out << "optimal allocation within bounds: "
-        << result->allocation->ToString(*txns) << "\n";
+        << result.allocation.ToString(*txns) << "\n";
     return 0;
   }
-
-  if (flags.Has("rcsi")) {
-    RcSiAllocationResult result = ComputeOptimalRcSiAllocation(*txns);
-    if (!result.allocatable) {
+  if (bounded) {
+    if (!result.feasible) {
       out << "no robust {RC,SI} allocation exists\n";
       out << "counterexample against A_SI: "
           << result.counterexample->ToString(*txns) << "\n";
       return 0;
     }
     out << "optimal {RC,SI} allocation: "
-        << result.allocation->ToString(*txns) << "\n";
+        << result.allocation.ToString(*txns) << "\n";
     return 0;
   }
 
-  OptimalAllocationResult result = ComputeOptimalAllocation(*txns, *options);
   if (flags.Has("witness-json") || flags.Has("witness-dot")) {
     StatusOr<AllocationExplanation> explanation =
         ExplainAllocation(*txns, result.allocation, *options);
@@ -840,7 +857,7 @@ int CmdReport(const Flags& flags, std::ostream& out, std::ostream& err,
   out << "| A_SI  | " << (si.robust ? "yes" : "no") << " |\n";
   out << "| A_SSI | yes |\n\n";
 
-  OptimalAllocationResult optimal = ComputeOptimalAllocation(*txns, *options);
+  OptimalAllocationResult optimal = ComputeOptimalAllocation(analyzer, *options);
   out << "## Optimal robust allocation\n\n";
   out << "```\n" << optimal.allocation.ToString(*txns) << "\n```\n\n";
   out << "RC=" << optimal.allocation.CountAt(IsolationLevel::kRC)
@@ -865,10 +882,12 @@ int CmdReport(const Flags& flags, std::ostream& out, std::ostream& err,
     out << "\n";
   }
 
-  RcSiAllocationResult rcsi = ComputeOptimalRcSiAllocation(*txns);
+  OptimalAllocationResult rcsi =
+      ComputeOptimalAllocation(analyzer, AllocationBounds::RcSi(n), *options)
+          .value();
   out << "## The {RC, SI} setting (Oracle)\n\n";
-  if (rcsi.allocatable) {
-    out << "Robustly allocatable: `" << rcsi.allocation->ToString(*txns)
+  if (rcsi.feasible) {
+    out << "Robustly allocatable: `" << rcsi.allocation.ToString(*txns)
         << "`\n";
   } else {
     out << "NOT robustly allocatable — no assignment of RC/SI avoids "

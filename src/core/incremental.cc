@@ -12,9 +12,10 @@ StatusOr<TxnId> IncrementalAllocator::AddTransaction(
 
   // Previous levels are valid lower bounds (adding a transaction never
   // lowers anyone's optimal level); the newcomer starts unconstrained.
-  std::vector<IsolationLevel> lower_bounds = allocation_.levels();
-  lower_bounds.push_back(IsolationLevel::kRC);
-  Reoptimize(lower_bounds);
+  AllocationBounds bounds = AllocationBounds::Free(txns_.size());
+  bounds.min_level = allocation_.levels();
+  bounds.min_level.push_back(IsolationLevel::kRC);
+  Reoptimize(bounds);
   return id;
 }
 
@@ -36,42 +37,27 @@ Status IncrementalAllocator::RemoveTransaction(TxnId txn) {
   }
   txns_ = std::move(rebuilt);
   // Removal can lower anyone: recompute without bounds.
-  Reoptimize(std::vector<IsolationLevel>(txns_.size(), IsolationLevel::kRC));
+  Reoptimize(AllocationBounds::Free(txns_.size()));
   return Status::Ok();
 }
 
-void IncrementalAllocator::Reoptimize(
-    const std::vector<IsolationLevel>& lower_bounds) {
+void IncrementalAllocator::Reoptimize(const AllocationBounds& bounds) {
   PhaseTimer timer(options_.metrics, "incremental.reoptimize");
   RobustnessAnalyzer analyzer(txns_, options_.metrics);
-  Allocation allocation = Allocation::AllSSI(txns_.size());
-  uint64_t checks = 0;
-  uint64_t warm_start_skips = 0;
-  bool cancelled = false;
-  for (TxnId t = 0; t < txns_.size() && !cancelled; ++t) {
-    for (IsolationLevel level : {IsolationLevel::kRC, IsolationLevel::kSI}) {
-      if (level < lower_bounds[t]) {  // Warm start.
-        ++warm_start_skips;
-        continue;
-      }
-      Allocation candidate = allocation.With(t, level);
-      ++checks_performed_;
-      ++checks;
-      RobustnessResult check =
-          analyzer.CheckDelta(allocation, candidate, options_);
-      // A cancelled check carries no verdict: keep the robust allocation.
-      cancelled = check.cancelled;
-      if (cancelled) break;
-      if (check.robust) {
-        allocation = std::move(candidate);
-        break;
-      }
-    }
-  }
-  allocation_ = std::move(allocation);
+  // The bounds are well formed, and their top, A_SSI, is never checked.
+  OptimalAllocationResult result =
+      ComputeOptimalAllocation(analyzer, bounds, options_).value();
+  checks_performed_ += result.robustness_checks;
+  allocation_ = std::move(result.allocation);
   if (options_.metrics != nullptr) {
+    // The warm start skips every level below a transaction's floor.
+    uint64_t warm_start_skips = 0;
+    for (IsolationLevel floor : bounds.min_level) {
+      warm_start_skips += static_cast<uint64_t>(floor);
+    }
     options_.metrics->counter("incremental.reoptimize_calls").Increment();
-    options_.metrics->counter("incremental.checks_performed").Add(checks);
+    options_.metrics->counter("incremental.checks_performed")
+        .Add(result.robustness_checks);
     options_.metrics->counter("incremental.warm_start_skips")
         .Add(warm_start_skips);
   }

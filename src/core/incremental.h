@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/analyzer.h"
+#include "core/optimal_allocation.h"
 #include "iso/allocation.h"
 
 namespace mvrob {
@@ -17,8 +18,9 @@ namespace mvrob {
 /// Key fact (provable from Definition 3.1 — counterexamples survive adding
 /// transactions, which are simply appended to the split schedule): when a
 /// transaction is ADDED, no existing transaction's optimal level can
-/// decrease. The updater therefore warm-starts Algorithm 2 with the
-/// previous levels as lower bounds, typically re-examining only the
+/// decrease. The updater therefore runs Algorithm 2 over the box
+/// [previous levels, A_SSI] (ComputeOptimalAllocation with bounds),
+/// typically re-examining only the
 /// transactions that actually interact with the newcomer. Removal can
 /// lower levels anywhere and triggers a full recomputation.
 ///
@@ -55,8 +57,8 @@ class IncrementalAllocator {
   const CheckOptions& check_options() const { return options_; }
 
  private:
-  /// Recomputes optimality with per-transaction lower bounds.
-  void Reoptimize(const std::vector<IsolationLevel>& lower_bounds);
+  /// Recomputes the optimum over the box [bounds.min_level, A_SSI].
+  void Reoptimize(const AllocationBounds& bounds);
 
   TransactionSet txns_;
   Allocation allocation_;

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "core/mixed_iso_graph.h"
 #include "iso/allocation.h"
 
 namespace mvrob {
@@ -94,22 +93,11 @@ struct CheckOptions {
 
 /// Algorithm 1: decides whether `txns` is robust against `alloc`, i.e.
 /// whether every schedule over `txns` allowed under `alloc` is conflict
-/// serializable (Definition 2.7). Runs in time polynomial in |T| per
-/// Theorem 3.3. `alloc` must have one level per transaction.
-///
-/// This is the *reference* implementation: it re-derives operation-level
-/// facts per triple and is deliberately close to the paper's pseudocode.
-/// It stays as a referee for tests, `mvrob crosscheck` and the exhaustive
-/// oracle (oracle/), next to the reference enumeration
-/// (oracle/counterexamples.h). Production callers use RobustnessAnalyzer
-/// — Check, CheckDelta and FindAll — or the CheckOptions overload below,
-/// which builds one internally.
-RobustnessResult CheckRobustness(const TransactionSet& txns,
-                                 const Allocation& alloc);
-
-/// Production entry point: identical verdict, counterexample, and
-/// triples_examined as the reference above, computed on the bitset
-/// analyzer with `options.num_threads`-way parallelism.
+/// serializable (Definition 2.7; Theorem 3.3). `alloc` must have one level
+/// per transaction. Computed on the bitset analyzer (core/analyzer.h) with
+/// `options.num_threads`-way parallelism; the verdict, counterexample and
+/// triples_examined equal the reference checker's
+/// (oracle/reference_checker.h), which tests keep as a referee.
 RobustnessResult CheckRobustness(const TransactionSet& txns,
                                  const Allocation& alloc,
                                  const CheckOptions& options);
@@ -134,17 +122,6 @@ uint64_t TriplesWhenRobust(size_t n);
 uint64_t TriplesUpToWitness(size_t n, TxnId t1, TxnId t2, TxnId tm);
 
 }  // namespace internal
-
-/// Convenience wrappers for the homogeneous allocations A_RC, A_SI, A_SSI.
-inline RobustnessResult CheckRobustnessRC(const TransactionSet& txns) {
-  return CheckRobustness(txns, Allocation::AllRC(txns.size()));
-}
-inline RobustnessResult CheckRobustnessSI(const TransactionSet& txns) {
-  return CheckRobustness(txns, Allocation::AllSI(txns.size()));
-}
-inline RobustnessResult CheckRobustnessSSI(const TransactionSet& txns) {
-  return CheckRobustness(txns, Allocation::AllSSI(txns.size()));
-}
 
 }  // namespace mvrob
 

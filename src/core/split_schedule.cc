@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/string_util.h"
+#include "core/conflict.h"
 #include "iso/allowed.h"
 #include "schedule/serializability.h"
 

@@ -5,7 +5,7 @@
 
 #include "common/thread_pool.h"
 #include "core/conflict.h"
-#include "core/mixed_iso_graph.h"
+#include "oracle/mixed_iso_graph.h"
 
 namespace mvrob {
 

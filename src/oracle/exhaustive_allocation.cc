@@ -3,8 +3,8 @@
 #include <algorithm>
 
 #include "common/string_util.h"
-#include "core/robustness.h"
 #include "oracle/brute_force.h"
+#include "oracle/reference_checker.h"
 
 namespace mvrob {
 

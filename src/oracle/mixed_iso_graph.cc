@@ -1,4 +1,4 @@
-#include "core/mixed_iso_graph.h"
+#include "oracle/mixed_iso_graph.h"
 
 #include <algorithm>
 #include <deque>

@@ -1,5 +1,5 @@
-#ifndef MVROB_CORE_MIXED_ISO_GRAPH_H_
-#define MVROB_CORE_MIXED_ISO_GRAPH_H_
+#ifndef MVROB_ORACLE_MIXED_ISO_GRAPH_H_
+#define MVROB_ORACLE_MIXED_ISO_GRAPH_H_
 
 #include <optional>
 #include <vector>
@@ -64,4 +64,4 @@ class MixedIsoGraph {
 
 }  // namespace mvrob
 
-#endif  // MVROB_CORE_MIXED_ISO_GRAPH_H_
+#endif  // MVROB_ORACLE_MIXED_ISO_GRAPH_H_

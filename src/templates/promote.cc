@@ -7,6 +7,7 @@
 
 #include "common/string_util.h"
 #include "core/analyzer.h"
+#include "core/optimal_allocation.h"
 #include "promote/promotion.h"
 
 namespace mvrob {
@@ -86,47 +87,46 @@ struct Evaluation {
 Evaluation Evaluate(const std::vector<std::unique_ptr<WorldWorkload>>& worlds,
                     size_t num_templates, uint64_t* robustness_checks) {
   Evaluation eval;
-  eval.levels.assign(num_templates, IsolationLevel::kSSI);
-  for (size_t t = 0; t < num_templates; ++t) {
-    for (IsolationLevel level : {IsolationLevel::kRC, IsolationLevel::kSI}) {
-      TemplateAllocation candidate = eval.levels;
-      candidate[t] = level;
-      bool robust = true;
-      for (const std::unique_ptr<WorldWorkload>& world : worlds) {
-        ++*robustness_checks;
-        // eval.levels is robust in every world; the candidate changes
-        // every instance of template t.
-        const Instantiation& inst = world->base->instantiation;
-        RobustnessResult result = world->analyzer->CheckDelta(
-            InstanceAllocation(inst, eval.levels),
-            InstanceAllocation(inst, candidate));
-        if (result.robust) continue;
-        robust = false;
-        if (result.counterexample.has_value()) {
-          for (OpRef promoted_ref : CandidatesFromChain(
-                   world->rewrite.promoted, *result.counterexample)) {
-            std::optional<OpRef> base_ref =
-                world->rewrite.OriginalRef(promoted_ref);
-            if (!base_ref.has_value()) continue;
-            const std::vector<int>& op_map =
-                inst.template_op_of_op[base_ref->txn];
-            if (base_ref->index < 0 ||
-                static_cast<size_t>(base_ref->index) >= op_map.size()) {
-              continue;
-            }
-            eval.frontier.insert(
-                {static_cast<size_t>(inst.template_of_txn[base_ref->txn]),
-                 op_map[base_ref->index]});
+  // The probe accepts a level when every world stays robust; the first
+  // failing world's chain feeds the frontier.
+  auto every_world = [&](const Allocation& current,
+                         const Allocation& candidate) {
+    for (const std::unique_ptr<WorldWorkload>& world : worlds) {
+      ++*robustness_checks;
+      // `current` is robust in every world; the candidate changes every
+      // instance of one template.
+      const Instantiation& inst = world->base->instantiation;
+      RobustnessResult result = world->analyzer->CheckDelta(
+          InstanceAllocation(inst, current.levels()),
+          InstanceAllocation(inst, candidate.levels()));
+      if (result.robust) continue;
+      if (result.counterexample.has_value()) {
+        for (OpRef promoted_ref : CandidatesFromChain(
+                 world->rewrite.promoted, *result.counterexample)) {
+          std::optional<OpRef> base_ref =
+              world->rewrite.OriginalRef(promoted_ref);
+          if (!base_ref.has_value()) continue;
+          const std::vector<int>& op_map =
+              inst.template_op_of_op[base_ref->txn];
+          if (base_ref->index < 0 ||
+              static_cast<size_t>(base_ref->index) >= op_map.size()) {
+            continue;
           }
+          eval.frontier.insert(
+              {static_cast<size_t>(inst.template_of_txn[base_ref->txn]),
+               op_map[base_ref->index]});
         }
-        break;
       }
-      if (robust) {
-        eval.levels = candidate;
-        break;
-      }
+      return ProbeVerdict::kNotRobust;
     }
-  }
+    return ProbeVerdict::kRobust;
+  };
+  eval.levels =
+      LowerToOptimum(Allocation::AllSSI(num_templates),
+                     std::vector<IsolationLevel>(num_templates,
+                                                 IsolationLevel::kRC),
+                     every_world)
+          .allocation.levels();
   return eval;
 }
 

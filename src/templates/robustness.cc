@@ -4,6 +4,7 @@
 
 #include "common/string_util.h"
 #include "core/analyzer.h"
+#include "core/optimal_allocation.h"
 #include "templates/predicate.h"
 
 namespace mvrob {
@@ -82,6 +83,25 @@ bool RobustInAllWorlds(const TemplateAnalysis& analysis,
   return true;
 }
 
+// Algorithm 2 at template granularity: the lowering loop of
+// core/optimal_allocation.h from `top`, which must keep every world
+// robust, with a probe that accepts a level only when every world stays
+// robust.
+TemplateAllocation LowerTemplates(const TemplateAnalysis& analysis,
+                                  TemplateAllocation top,
+                                  uint64_t* robustness_checks) {
+  const std::vector<IsolationLevel> floor(top.size(), IsolationLevel::kRC);
+  return LowerToOptimum(
+             Allocation(std::move(top)), floor,
+             [&](const Allocation& current, const Allocation& candidate) {
+               return RobustInAllWorlds(analysis, candidate.levels(),
+                                        &current.levels(), robustness_checks)
+                          ? ProbeVerdict::kRobust
+                          : ProbeVerdict::kNotRobust;
+             })
+      .allocation.levels();
+}
+
 }  // namespace
 
 StatusOr<TemplateRobustnessResult> CheckTemplateRobustness(
@@ -119,18 +139,10 @@ StatusOr<TemplateAllocationResult> ComputeOptimalTemplateAllocation(
 
   TemplateAllocationResult result;
   result.worlds = analysis->worlds.size();
-  result.levels.assign(set.size(), IsolationLevel::kSSI);
-  for (size_t t = 0; t < set.size(); ++t) {
-    for (IsolationLevel level : {IsolationLevel::kRC, IsolationLevel::kSI}) {
-      TemplateAllocation candidate = result.levels;
-      candidate[t] = level;
-      if (RobustInAllWorlds(*analysis, candidate, &result.levels,
-                            &result.robustness_checks)) {
-        result.levels = std::move(candidate);
-        break;
-      }
-    }
-  }
+  result.levels =
+      LowerTemplates(*analysis, TemplateAllocation(set.size(),
+                                                   IsolationLevel::kSSI),
+                     &result.robustness_checks);
   return result;
 }
 
@@ -154,15 +166,7 @@ StatusOr<RcSiTemplateAllocationResult> ComputeOptimalRcSiTemplateAllocation(
   }
   result.allocatable = true;
   result.instantiation = analysis->worlds.front().instantiation;
-  TemplateAllocation levels = all_si;
-  for (size_t t = 0; t < set.size(); ++t) {
-    TemplateAllocation candidate = levels;
-    candidate[t] = IsolationLevel::kRC;
-    if (RobustInAllWorlds(*analysis, candidate, &levels, nullptr)) {
-      levels = std::move(candidate);
-    }
-  }
-  result.levels = std::move(levels);
+  result.levels = LowerTemplates(*analysis, std::move(all_si), nullptr);
   return result;
 }
 

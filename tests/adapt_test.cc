@@ -11,6 +11,7 @@
 #include "iso/allocation.h"
 #include "mvcc/driver.h"
 #include "mvcc/txn_trace.h"
+#include "oracle/reference_checker.h"
 #include "txn/parser.h"
 
 namespace mvrob {

@@ -6,8 +6,9 @@
 #include <gtest/gtest.h>
 
 #include "core/optimal_allocation.h"
-#include "core/rc_si_allocation.h"
+#include "fixtures.h"
 #include "oracle/exhaustive_allocation.h"
+#include "oracle/reference_checker.h"
 #include "workloads/synthetic.h"
 
 namespace mvrob {
@@ -91,7 +92,7 @@ TEST_P(AllocationPropertyTest, Proposition41PointwiseExchange) {
 
 TEST_P(AllocationPropertyTest, RcSiVariantMatchesExhaustive) {
   TransactionSet txns = MakeRandomSet(GetParam());
-  RcSiAllocationResult result = ComputeOptimalRcSiAllocation(txns);
+  OptimalAllocationResult result = RcSiOptimum(txns);
 
   StatusOr<ExhaustiveAllocationResult> exhaustive =
       EnumerateRobustAllocations(
@@ -101,12 +102,11 @@ TEST_P(AllocationPropertyTest, RcSiVariantMatchesExhaustive) {
 
   // Proposition 5.4: allocatable iff some {RC, SI} allocation is robust iff
   // A_SI is robust.
-  EXPECT_EQ(result.allocatable, !exhaustive->robust_allocations.empty());
-  EXPECT_EQ(result.allocatable, CheckRobustnessSI(txns).robust);
-  if (result.allocatable) {
-    ASSERT_TRUE(result.allocation.has_value());
-    EXPECT_EQ(*result.allocation, *exhaustive->pointwise_minimum);
-    EXPECT_EQ(result.allocation->CountAt(IsolationLevel::kSSI), 0u);
+  EXPECT_EQ(result.feasible, !exhaustive->robust_allocations.empty());
+  EXPECT_EQ(result.feasible, CheckRobustnessSI(txns).robust);
+  if (result.feasible) {
+    EXPECT_EQ(result.allocation, *exhaustive->pointwise_minimum);
+    EXPECT_EQ(result.allocation.CountAt(IsolationLevel::kSSI), 0u);
   }
 }
 

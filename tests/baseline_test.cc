@@ -5,6 +5,7 @@
 #include "baseline/rc_robustness.h"
 #include "baseline/si_robustness.h"
 #include "core/robustness.h"
+#include "oracle/reference_checker.h"
 #include "txn/parser.h"
 #include "workloads/synthetic.h"
 

@@ -16,6 +16,7 @@
 #include "common/string_util.h"
 #include "core/robustness.h"
 #include "iso/allocation.h"
+#include "oracle/reference_checker.h"
 #include "txn/parser.h"
 
 namespace mvrob {
@@ -133,6 +134,57 @@ TEST(CliTest, AllocateWithBounds) {
   CliResult feasible_pin = RunTool(
       {"allocate", "--txns", kWriteSkew, "--pin", "T1=SSI T2=SSI"});
   EXPECT_NE(feasible_pin.out.find("T1=SSI T2=SSI"), std::string::npos);
+}
+
+// --rcsi composes with --pin / --atmost: they narrow the {RC, SI} box
+// instead of replacing it, so a pin above SI leaves the box empty.
+TEST(CliTest, RcSiComposesWithBounds) {
+  const char* txns = "T1: R[x] W[x]\nT2: R[x] W[x]\nT3: R[q]";
+  CliResult above =
+      RunTool({"allocate", "--txns", txns, "--rcsi", "--pin", "T1=SSI"});
+  EXPECT_EQ(above.code, 1) << above.out;
+  EXPECT_EQ(above.out, "");
+  EXPECT_NE(above.err.find("empty bounds for T1: min SSI > max SI"),
+            std::string::npos)
+      << above.err;
+
+  CliResult pinned =
+      RunTool({"allocate", "--txns", txns, "--rcsi", "--pin", "T3=SI"});
+  EXPECT_EQ(pinned.code, 0) << pinned.err;
+  EXPECT_EQ(pinned.out,
+            "optimal allocation within bounds: T1=SI T2=SI T3=SI\n");
+
+  // A cap above SI does not lift the {RC, SI} box's cap.
+  CliResult capped =
+      RunTool({"allocate", "--txns", txns, "--rcsi", "--atmost", "T1=SSI"});
+  EXPECT_EQ(capped.code, 0) << capped.err;
+  EXPECT_EQ(capped.out,
+            "optimal allocation within bounds: T1=SI T2=SI T3=RC\n");
+}
+
+// The bounded modes print one line of text; the output flags of the free
+// mode are rejected there, not silently dropped.
+TEST(CliTest, BoundedAllocateRejectsOutputFlags) {
+  const std::vector<std::vector<std::string>> modes = {
+      {"--rcsi"}, {"--pin", "T1=SSI"}, {"--atmost", "T1=SI"}};
+  const std::vector<std::vector<std::string>> outputs = {
+      {"--json"}, {"--explain"}, {"--witness-json", "-"},
+      {"--witness-dot", "-"}};
+  for (const std::vector<std::string>& mode : modes) {
+    for (const std::vector<std::string>& output : outputs) {
+      std::vector<std::string> args = {"allocate", "--txns", kWriteSkew};
+      args.insert(args.end(), mode.begin(), mode.end());
+      args.insert(args.end(), output.begin(), output.end());
+      CliResult result = RunTool(args);
+      SCOPED_TRACE(mode.front() + " " + output.front());
+      EXPECT_EQ(result.code, 1);
+      EXPECT_EQ(result.out, "");
+      EXPECT_NE(result.err.find("InvalidArgument: " + output.front() +
+                                " does not apply"),
+                std::string::npos)
+          << result.err;
+    }
+  }
 }
 
 TEST(CliTest, ExploreAnalyzesSchedule) {

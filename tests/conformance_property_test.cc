@@ -13,6 +13,7 @@
 #include "mvcc/driver.h"
 #include "oracle/interleavings.h"
 #include "mvcc/trace.h"
+#include "oracle/reference_checker.h"
 #include "schedule/serializability.h"
 #include "core/optimal_allocation.h"
 #include "workloads/registry.h"

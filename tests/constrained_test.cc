@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
-#include "core/constrained_allocation.h"
 #include "core/optimal_allocation.h"
 #include "core/split_schedule.h"
+#include "fixtures.h"
 #include "oracle/exhaustive_allocation.h"
 #include "txn/parser.h"
 #include "workloads/synthetic.h"
@@ -27,12 +27,11 @@ TEST(ConstrainedTest, FreeBoundsMatchAlgorithm2) {
     params.write_fraction = 0.5;
     params.seed = seed;
     TransactionSet txns = GenerateSynthetic(params);
-    StatusOr<ConstrainedAllocationResult> constrained =
-        ComputeConstrainedAllocation(txns,
-                                     AllocationBounds::Free(txns.size()));
+    StatusOr<OptimalAllocationResult> constrained =
+        AllocateWithin(txns, AllocationBounds::Free(txns.size()));
     ASSERT_TRUE(constrained.ok());
     ASSERT_TRUE(constrained->feasible);
-    EXPECT_EQ(*constrained->allocation,
+    EXPECT_EQ(constrained->allocation,
               ComputeOptimalAllocation(txns).allocation)
         << txns.ToString();
   }
@@ -44,8 +43,7 @@ TEST(ConstrainedTest, PinningRaisesOthers) {
   TransactionSet txns = Parse(kWriteSkew);
   AllocationBounds bounds = AllocationBounds::Free(2);
   bounds.Pin(0, IsolationLevel::kSI);
-  StatusOr<ConstrainedAllocationResult> result =
-      ComputeConstrainedAllocation(txns, bounds);
+  StatusOr<OptimalAllocationResult> result = AllocateWithin(txns, bounds);
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->feasible);
   ASSERT_TRUE(result->counterexample.has_value());
@@ -60,20 +58,18 @@ TEST(ConstrainedTest, MinLevelsAreRespected) {
   AllocationBounds bounds = AllocationBounds::Free(2);
   bounds.AtLeast(0, IsolationLevel::kSI);
   bounds.AtLeast(1, IsolationLevel::kSSI);
-  StatusOr<ConstrainedAllocationResult> result =
-      ComputeConstrainedAllocation(txns, bounds);
+  StatusOr<OptimalAllocationResult> result = AllocateWithin(txns, bounds);
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result->feasible);
-  EXPECT_EQ(result->allocation->level(0), IsolationLevel::kSI);
-  EXPECT_EQ(result->allocation->level(1), IsolationLevel::kSSI);
+  EXPECT_EQ(result->allocation.level(0), IsolationLevel::kSI);
+  EXPECT_EQ(result->allocation.level(1), IsolationLevel::kSSI);
 }
 
 TEST(ConstrainedTest, UpperBoundInfeasibilityHasWitness) {
   TransactionSet txns = Parse(kWriteSkew);
   AllocationBounds bounds = AllocationBounds::Free(2);
   bounds.AtMost(0, IsolationLevel::kSI).AtMost(1, IsolationLevel::kSI);
-  StatusOr<ConstrainedAllocationResult> result =
-      ComputeConstrainedAllocation(txns, bounds);
+  StatusOr<OptimalAllocationResult> result = AllocateWithin(txns, bounds);
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->feasible);
   // The witness is against the top of the box (A_SI here).
@@ -92,8 +88,7 @@ TEST(ConstrainedTest, OptimalWithinBoxMatchesLatticeSearch) {
   )");
   AllocationBounds bounds = AllocationBounds::Free(3);
   bounds.AtLeast(2, IsolationLevel::kSI);
-  StatusOr<ConstrainedAllocationResult> result =
-      ComputeConstrainedAllocation(txns, bounds);
+  StatusOr<OptimalAllocationResult> result = AllocateWithin(txns, bounds);
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result->feasible);
 
@@ -125,19 +120,19 @@ TEST(ConstrainedTest, OptimalWithinBoxMatchesLatticeSearch) {
     best = Allocation(std::move(merged));
   }
   ASSERT_TRUE(best.has_value());
-  EXPECT_EQ(*result->allocation, *best);
+  EXPECT_EQ(result->allocation, *best);
 }
 
 TEST(ConstrainedTest, RejectsMalformedBounds) {
   TransactionSet txns = Parse(kWriteSkew);
   AllocationBounds wrong_size = AllocationBounds::Free(1);
-  EXPECT_FALSE(ComputeConstrainedAllocation(txns, wrong_size).ok());
+  EXPECT_FALSE(AllocateWithin(txns, wrong_size).ok());
 
   AllocationBounds inverted = AllocationBounds::Free(2);
   inverted.min_level[0] = IsolationLevel::kSSI;
   inverted.max_level[0] = IsolationLevel::kRC;
-  StatusOr<ConstrainedAllocationResult> result =
-      ComputeConstrainedAllocation(txns, inverted);
+  StatusOr<OptimalAllocationResult> result =
+      AllocateWithin(txns, inverted);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }

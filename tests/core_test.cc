@@ -1,13 +1,14 @@
 #include <gtest/gtest.h>
 
 #include "core/optimal_allocation.h"
-#include "core/rc_si_allocation.h"
 #include "core/robustness.h"
 #include "core/split_schedule.h"
 #include "fixtures.h"
 #include "oracle/brute_force.h"
 #include "oracle/counterexamples.h"
 #include "iso/allowed.h"
+#include "oracle/mixed_iso_graph.h"
+#include "oracle/reference_checker.h"
 #include "schedule/serializability.h"
 #include "txn/parser.h"
 
@@ -353,9 +354,9 @@ TEST(OptimalAllocationTest, ResultIsRobustAndLoweringBreaksIt) {
 
 TEST(RcSiAllocationTest, WriteSkewIsNotAllocatable) {
   TransactionSet txns = Parse(kWriteSkew);
-  RcSiAllocationResult result = ComputeOptimalRcSiAllocation(txns);
-  EXPECT_FALSE(result.allocatable);
-  EXPECT_FALSE(result.allocation.has_value());
+  OptimalAllocationResult result = RcSiOptimum(txns);
+  EXPECT_FALSE(result.feasible);
+  EXPECT_EQ(result.allocation.size(), 0u);
   ASSERT_TRUE(result.counterexample.has_value());
   EXPECT_TRUE(VerifyCounterexample(txns, Allocation::AllSI(2),
                                    *result.counterexample)
@@ -364,9 +365,9 @@ TEST(RcSiAllocationTest, WriteSkewIsNotAllocatable) {
 
 TEST(RcSiAllocationTest, LostUpdateAllocatesToSi) {
   TransactionSet txns = Parse(kLostUpdate);
-  RcSiAllocationResult result = ComputeOptimalRcSiAllocation(txns);
-  ASSERT_TRUE(result.allocatable);
-  EXPECT_EQ(*result.allocation, Allocation::AllSI(2));
+  OptimalAllocationResult result = RcSiOptimum(txns);
+  ASSERT_TRUE(result.feasible);
+  EXPECT_EQ(result.allocation, Allocation::AllSI(2));
 }
 
 TEST(RcSiAllocationTest, MixedRcSiOutcome) {
@@ -375,13 +376,13 @@ TEST(RcSiAllocationTest, MixedRcSiOutcome) {
     T2: R[x] W[x]
     T3: R[q]
   )");
-  RcSiAllocationResult result = ComputeOptimalRcSiAllocation(txns);
-  ASSERT_TRUE(result.allocatable);
-  EXPECT_EQ(result.allocation->level(0), IsolationLevel::kSI);
-  EXPECT_EQ(result.allocation->level(1), IsolationLevel::kSI);
-  EXPECT_EQ(result.allocation->level(2), IsolationLevel::kRC);
+  OptimalAllocationResult result = RcSiOptimum(txns);
+  ASSERT_TRUE(result.feasible);
+  EXPECT_EQ(result.allocation.level(0), IsolationLevel::kSI);
+  EXPECT_EQ(result.allocation.level(1), IsolationLevel::kSI);
+  EXPECT_EQ(result.allocation.level(2), IsolationLevel::kRC);
   // The result never uses SSI.
-  EXPECT_EQ(result.allocation->CountAt(IsolationLevel::kSSI), 0u);
+  EXPECT_EQ(result.allocation.CountAt(IsolationLevel::kSSI), 0u);
 }
 
 TEST(RobustnessTest, Figure2AgainstBruteForceOracle) {

@@ -6,7 +6,9 @@
 // accepted or rejected, CheckDelta(base, candidate) must equal
 // Check(candidate): verdict, the whole counterexample chain (inner
 // transactions included), triples_examined and cancelled, at 1 and 4
-// threads. The library loop must end at the test-local loop's allocation.
+// threads. The library loop must end at the test-local loop's allocation
+// and count one robustness check per candidate the test-local loop
+// checked, plus one for a top other than A_SSI.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,10 +22,8 @@
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "core/analyzer.h"
-#include "core/constrained_allocation.h"
 #include "core/incremental.h"
 #include "core/optimal_allocation.h"
-#include "core/rc_si_allocation.h"
 #include "fixtures.h"
 #include "promote/promotion.h"
 #include "templates/instantiate.h"
@@ -112,15 +112,18 @@ class Referee {
   CheckOptions options_;
 };
 
-// Algorithm 2 from `start` (robust), skipping levels below `floor`.
+// Algorithm 2 from `start` (robust), skipping levels below `floor`. Adds
+// one to `*probes` per candidate checked.
 Allocation LowerFrom(Referee& referee, Allocation start,
-                     const std::vector<IsolationLevel>& floor) {
+                     const std::vector<IsolationLevel>& floor,
+                     uint64_t* probes) {
   Allocation allocation = std::move(start);
   for (TxnId t = 0; t < allocation.size(); ++t) {
     for (IsolationLevel level : kLowerings) {
       if (level < floor[t]) continue;
       if (!(level < allocation.level(t))) break;
       Allocation candidate = allocation.With(t, level);
+      ++*probes;
       if (referee.Check(allocation, candidate).robust) {
         allocation = std::move(candidate);
         break;
@@ -134,37 +137,49 @@ std::vector<IsolationLevel> NoFloor(size_t n) {
   return std::vector<IsolationLevel>(n, IsolationLevel::kRC);
 }
 
+// The library's Algorithm 2 over `bounds` must end where the referee's
+// loop does, with one robustness check per probe plus one for a top other
+// than A_SSI (no witness splits A_SSI, so it is never checked).
+void CheckBox(const TransactionSet& txns, int threads,
+              const AllocationBounds& bounds) {
+  Referee referee(txns, threads);
+  CheckOptions options;
+  options.num_threads = threads;
+  StatusOr<OptimalAllocationResult> actual =
+      ComputeOptimalAllocation(referee.analyzer(), bounds, options);
+  ASSERT_TRUE(actual.ok()) << actual.status();
+  EXPECT_FALSE(actual->cancelled);
+  const Allocation top(bounds.max_level);
+  const uint64_t top_checks = top == Allocation::AllSSI(txns.size()) ? 0 : 1;
+  const bool feasible = referee.analyzer().Check(top).robust;
+  ASSERT_EQ(actual->feasible, feasible);
+  if (!feasible) {
+    EXPECT_EQ(actual->robustness_checks, top_checks);
+    return;
+  }
+  uint64_t probes = 0;
+  EXPECT_EQ(actual->allocation,
+            LowerFrom(referee, top, bounds.min_level, &probes))
+      << txns.ToString();
+  EXPECT_EQ(actual->robustness_checks, probes + top_checks);
+}
+
 void CheckAlgorithm2(const TransactionSet& txns, int threads) {
   Referee referee(txns, threads);
   const size_t n = txns.size();
+  uint64_t probes = 0;
   Allocation expected =
-      LowerFrom(referee, Allocation::AllSSI(n), NoFloor(n));
+      LowerFrom(referee, Allocation::AllSSI(n), NoFloor(n), &probes);
   CheckOptions options;
   options.num_threads = threads;
   OptimalAllocationResult actual = ComputeOptimalAllocation(txns, options);
   EXPECT_EQ(actual.allocation, expected) << txns.ToString();
+  EXPECT_EQ(actual.robustness_checks, probes);
+  EXPECT_TRUE(actual.feasible);
   EXPECT_FALSE(actual.cancelled);
 }
 
-void CheckRcSi(const TransactionSet& txns, int threads) {
-  Referee referee(txns, threads);
-  const size_t n = txns.size();
-  RcSiAllocationResult actual = ComputeOptimalRcSiAllocation(txns);
-  RobustnessResult at_si = referee.analyzer().Check(Allocation::AllSI(n));
-  ASSERT_EQ(actual.allocatable, at_si.robust);
-  if (!at_si.robust) return;
-  Allocation allocation = Allocation::AllSI(n);
-  for (TxnId t = 0; t < n; ++t) {
-    Allocation candidate = allocation.With(t, IsolationLevel::kRC);
-    if (referee.Check(allocation, candidate).robust) {
-      allocation = std::move(candidate);
-    }
-  }
-  EXPECT_EQ(*actual.allocation, allocation) << txns.ToString();
-}
-
 void CheckConstrained(const TransactionSet& txns, int threads, Rng& rng) {
-  Referee referee(txns, threads);
   const size_t n = txns.size();
   AllocationBounds bounds = AllocationBounds::Free(n);
   for (TxnId t = 0; t < n; ++t) {
@@ -173,25 +188,22 @@ void CheckConstrained(const TransactionSet& txns, int threads, Rng& rng) {
     bounds.min_level[t] = b < a ? b : a;
     bounds.max_level[t] = b < a ? a : b;
   }
-  StatusOr<ConstrainedAllocationResult> actual =
-      ComputeConstrainedAllocation(txns, bounds);
-  ASSERT_TRUE(actual.ok()) << actual.status();
-  Allocation top(bounds.max_level);
-  RobustnessResult at_top = referee.analyzer().Check(top);
-  ASSERT_EQ(actual->feasible, at_top.robust);
-  if (!at_top.robust) return;
-  Allocation expected = LowerFrom(referee, top, bounds.min_level);
-  EXPECT_EQ(*actual->allocation, expected) << txns.ToString();
+  CheckBox(txns, threads, bounds);
+  // The same floors under A_SSI: the top is not checked.
+  bounds.max_level.assign(n, IsolationLevel::kSSI);
+  CheckBox(txns, threads, bounds);
 }
 
 // IncrementalAllocator fed `txns` one transaction at a time, then with
-// its first transaction removed.
+// its first transaction removed. Each update is the box [previous levels,
+// A_SSI], whose top is never checked.
 void CheckIncremental(const TransactionSet& txns, int threads) {
   IncrementalAllocator allocator;
   CheckOptions options;
   options.num_threads = threads;
   allocator.set_check_options(options);
   Allocation previous;
+  uint64_t probes = 0;
   for (TxnId t = 0; t < txns.size(); ++t) {
     const Transaction& txn = txns.txn(t);
     std::vector<Operation> ops(txn.ops().begin(), txn.ops().end() - 1);
@@ -202,15 +214,18 @@ void CheckIncremental(const TransactionSet& txns, int threads) {
     std::vector<IsolationLevel> floor = previous.levels();
     floor.push_back(IsolationLevel::kRC);
     Referee referee(allocator.txns(), threads);
-    previous = LowerFrom(referee, Allocation::AllSSI(floor.size()), floor);
+    previous =
+        LowerFrom(referee, Allocation::AllSSI(floor.size()), floor, &probes);
     ASSERT_EQ(allocator.allocation(), previous) << allocator.txns().ToString();
+    ASSERT_EQ(allocator.checks_performed(), probes);
   }
   if (txns.size() < 2) return;
   ASSERT_TRUE(allocator.RemoveTransaction(0).ok());
   Referee referee(allocator.txns(), threads);
   const size_t n = allocator.txns().size();
   EXPECT_EQ(allocator.allocation(),
-            LowerFrom(referee, Allocation::AllSSI(n), NoFloor(n)));
+            LowerFrom(referee, Allocation::AllSSI(n), NoFloor(n), &probes));
+  EXPECT_EQ(allocator.checks_performed(), probes);
 }
 
 // Random robust bases (the optimum, randomly raised: robustness propagates
@@ -219,7 +234,9 @@ void CheckIncremental(const TransactionSet& txns, int threads) {
 void CheckRandomPairs(const TransactionSet& txns, int threads, Rng& rng) {
   Referee referee(txns, threads);
   const size_t n = txns.size();
-  Allocation optimum = LowerFrom(referee, Allocation::AllSSI(n), NoFloor(n));
+  uint64_t probes = 0;
+  Allocation optimum =
+      LowerFrom(referee, Allocation::AllSSI(n), NoFloor(n), &probes);
   for (int round = 0; round < 4; ++round) {
     Allocation base = optimum;
     for (TxnId t = 0; t < n; ++t) {
@@ -243,7 +260,7 @@ void CheckAllLoops(const TransactionSet& txns, uint64_t seed) {
     SCOPED_TRACE(StrCat("threads=", threads));
     Rng rng(seed * 2654435761u + static_cast<uint64_t>(threads));
     CheckAlgorithm2(txns, threads);
-    CheckRcSi(txns, threads);
+    CheckBox(txns, threads, AllocationBounds::RcSi(txns.size()));
     CheckConstrained(txns, threads, rng);
     CheckIncremental(txns, threads);
     CheckRandomPairs(txns, threads, rng);
@@ -302,6 +319,43 @@ TEST(DeltaCheckCorpusTest, CancelledDeltaCheckEqualsCancelledCheck) {
   }
 }
 
+// A cancelled check reads robust, so a loop that ignored `cancelled` would
+// accept the candidate. Under a cancel flag raised beforehand the bounded
+// entry accepts none: a checked top (here A_SI, the {RC, SI} box) leaves
+// feasibility unknown, and an unchecked A_SSI top stops at the first probe.
+TEST(DeltaCheckCorpusTest, CancelledBoxesAcceptNoCandidate) {
+  StatusOr<Workload> workload = MakeNamedWorkload("smallbank:c=4");
+  ASSERT_TRUE(workload.ok()) << workload.status();
+  const size_t n = workload->txns.size();
+  RobustnessAnalyzer analyzer(workload->txns);
+  std::atomic<bool> cancel{true};
+  AllocationBounds floored = AllocationBounds::Free(n);
+  floored.AtLeast(0, IsolationLevel::kSI);
+  for (int threads : kThreadCounts) {
+    CheckOptions options;
+    options.num_threads = threads;
+    options.cancel = &cancel;
+    StatusOr<OptimalAllocationResult> rcsi =
+        ComputeOptimalAllocation(analyzer, AllocationBounds::RcSi(n), options);
+    ASSERT_TRUE(rcsi.ok()) << rcsi.status();
+    EXPECT_TRUE(rcsi->cancelled);
+    EXPECT_FALSE(rcsi->feasible);
+    EXPECT_EQ(rcsi->allocation.size(), 0u);
+    EXPECT_EQ(rcsi->robustness_checks, 1u);
+
+    for (const AllocationBounds& bounds :
+         {AllocationBounds::Free(n), floored}) {
+      StatusOr<OptimalAllocationResult> boxed =
+          ComputeOptimalAllocation(analyzer, bounds, options);
+      ASSERT_TRUE(boxed.ok()) << boxed.status();
+      EXPECT_TRUE(boxed->cancelled);
+      EXPECT_TRUE(boxed->feasible);
+      EXPECT_EQ(boxed->allocation, Allocation::AllSSI(n));
+      EXPECT_EQ(boxed->robustness_checks, 1u);
+    }
+  }
+}
+
 // ---- Template level: the lifted loops over every function world. ----
 
 Allocation InstanceLevels(const Instantiation& inst,
@@ -348,11 +402,11 @@ std::vector<std::unique_ptr<Referee>> WorldReferees(
 }
 
 // The lifted lowering loop: a template level is accepted when every world
-// stays robust. With `rc_only` only RC is tried.
+// stays robust. Adds one to `*checks` per world checked.
 TemplateAllocation LiftedLowering(
     const std::vector<WorldInstantiation>& worlds,
     const std::vector<std::unique_ptr<Referee>>& referees,
-    TemplateAllocation levels, bool rc_only) {
+    TemplateAllocation levels, uint64_t* checks) {
   for (size_t t = 0; t < levels.size(); ++t) {
     for (IsolationLevel level : kLowerings) {
       if (!(level < levels[t])) break;
@@ -361,6 +415,7 @@ TemplateAllocation LiftedLowering(
       bool robust = true;
       for (size_t w = 0; w < worlds.size() && robust; ++w) {
         const Instantiation& inst = worlds[w].instantiation;
+        ++*checks;
         robust = referees[w]
                      ->Check(InstanceLevels(inst, levels),
                              InstanceLevels(inst, candidate))
@@ -370,7 +425,6 @@ TemplateAllocation LiftedLowering(
         levels = std::move(candidate);
         break;
       }
-      if (rc_only) break;
     }
   }
   return levels;
@@ -410,13 +464,15 @@ TEST(DeltaCheckTemplateTest, LiftedLoopsAgreeWithFullChecks) {
       std::vector<TransactionSet> storage;
       auto referees = WorldReferees(*worlds, {}, threads, &storage);
 
+      uint64_t checks = 0;
       TemplateAllocation optimum = LiftedLowering(
-          *worlds, referees,
-          TemplateAllocation(k, IsolationLevel::kSSI), /*rc_only=*/false);
+          *worlds, referees, TemplateAllocation(k, IsolationLevel::kSSI),
+          &checks);
       StatusOr<TemplateAllocationResult> lifted =
           ComputeOptimalTemplateAllocation(set);
       ASSERT_TRUE(lifted.ok()) << lifted.status();
       EXPECT_EQ(lifted->levels, optimum);
+      EXPECT_EQ(lifted->robustness_checks, checks);
 
       TemplateAllocation all_si(k, IsolationLevel::kSI);
       StatusOr<RcSiTemplateAllocationResult> rcsi =
@@ -425,7 +481,7 @@ TEST(DeltaCheckTemplateTest, LiftedLoopsAgreeWithFullChecks) {
       ASSERT_EQ(rcsi->allocatable, RobustEverywhere(*worlds, referees, all_si));
       if (rcsi->allocatable) {
         EXPECT_EQ(*rcsi->levels,
-                  LiftedLowering(*worlds, referees, all_si, /*rc_only=*/true));
+                  LiftedLowering(*worlds, referees, all_si, &checks));
       }
 
       // The promotion search: its baseline is the lifted optimum, and its
@@ -439,7 +495,7 @@ TEST(DeltaCheckTemplateTest, LiftedLoopsAgreeWithFullChecks) {
       EXPECT_EQ(plan->after_levels,
                 LiftedLowering(*worlds, promoted,
                                TemplateAllocation(k, IsolationLevel::kSSI),
-                               /*rc_only=*/false));
+                               &checks));
     }
   }
 }

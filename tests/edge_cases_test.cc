@@ -9,8 +9,9 @@
 #include "iso/materialize.h"
 #include "mvcc/driver.h"
 #include "mvcc/trace.h"
-#include "core/mixed_iso_graph.h"
 #include "oracle/brute_force.h"
+#include "oracle/mixed_iso_graph.h"
+#include "oracle/reference_checker.h"
 #include "oracle/statistics.h"
 #include "schedule/serializability.h"
 #include "txn/parser.h"

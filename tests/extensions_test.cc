@@ -7,6 +7,7 @@
 #include "core/optimal_allocation.h"
 #include "iso/materialize.h"
 #include "mvcc/engine.h"
+#include "oracle/reference_checker.h"
 #include "schedule/anomaly.h"
 #include "txn/parser.h"
 #include "workloads/ycsb.h"

@@ -13,6 +13,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/analyzer.h"
+#include "core/optimal_allocation.h"
 #include "schedule/schedule.h"
 #include "txn/parser.h"
 #include "workloads/synthetic.h"
@@ -119,6 +121,17 @@ inline Schedule Example52Schedule(const TransactionSet& txns) {
       std::move(version_order));
   assert(schedule.ok());
   return std::move(schedule).value();
+}
+
+// Algorithm 2 over the box `bounds` on a one-shot analyzer.
+inline StatusOr<OptimalAllocationResult> AllocateWithin(
+    const TransactionSet& txns, const AllocationBounds& bounds) {
+  return ComputeOptimalAllocation(RobustnessAnalyzer(txns), bounds);
+}
+
+// The {RC, SI} optimum of Theorem 5.5: the box [A_RC, A_SI].
+inline OptimalAllocationResult RcSiOptimum(const TransactionSet& txns) {
+  return AllocateWithin(txns, AllocationBounds::RcSi(txns.size())).value();
 }
 
 // The random sets of the analyzer differential tests (delta checks,

@@ -10,6 +10,7 @@
 #include "iso/allowed.h"
 #include "iso/materialize.h"
 #include "oracle/brute_force.h"
+#include "oracle/reference_checker.h"
 #include "schedule/serializability.h"
 #include "txn/parser.h"
 

@@ -377,6 +377,33 @@ TEST(CliPhaseTest, PromoteAndExplainPhasesNestInTheCommand) {
   }
 }
 
+// The bounded modes of `allocate` run on the loaded check options, so
+// their Algorithm 2 and delta-check counters reach --stats-json.
+TEST(CliPhaseTest, BoundedAllocateRecordsAlgorithm2Counters) {
+  const std::string path = ::testing::TempDir() + "/mvrob_bounded_stats.json";
+  for (const std::vector<std::string>& mode :
+       {std::vector<std::string>{"--rcsi"},
+        std::vector<std::string>{"--pin", "T1=SSI"}}) {
+    SCOPED_TRACE(mode.front());
+    std::vector<std::string> args = {
+        "allocate", "--txns", "T1: R[x] W[x]\nT2: R[x] W[x]\nT3: R[q]",
+        "--threads", "4", "--stats-json", path};
+    args.insert(args.end(), mode.begin(), mode.end());
+    std::ostringstream out;
+    std::ostringstream err;
+    ASSERT_EQ(RunCli(args, out, err), 0) << err.str();
+    std::ifstream file(path);
+    std::stringstream snapshot;
+    snapshot << file.rdbuf();
+    for (const char* counter :
+         {"\"allocation.robustness_checks\":", "\"analyzer.delta_checks\":"}) {
+      EXPECT_NE(snapshot.str().find(counter), std::string::npos)
+          << counter << " missing: " << snapshot.str();
+    }
+    std::remove(path.c_str());
+  }
+}
+
 TEST(AllocationMetricsTest, Algorithm2CountersAndUnchangedResult) {
   TransactionSet txns = Tpcc();
   OptimalAllocationResult baseline =

@@ -10,6 +10,7 @@
 #include "mvcc/recorder.h"
 #include "mvcc/trace.h"
 #include "mvcc/txn_trace.h"
+#include "oracle/reference_checker.h"
 #include "schedule/serializability.h"
 #include "txn/parser.h"
 #include "workloads/registry.h"

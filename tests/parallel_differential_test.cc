@@ -17,6 +17,7 @@
 #include "core/robustness.h"
 #include "core/split_schedule.h"
 #include "oracle/counterexamples.h"
+#include "oracle/reference_checker.h"
 #include "promote/optimizer.h"
 #include "workloads/registry.h"
 #include "workloads/synthetic.h"

@@ -24,6 +24,7 @@
 #include "core/robustness.h"
 #include "mvcc/roundtrip.h"
 #include "oracle/brute_force.h"
+#include "oracle/reference_checker.h"
 #include "promote/optimizer.h"
 #include "promote/promotion.h"
 #include "txn/parser.h"

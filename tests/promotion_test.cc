@@ -12,6 +12,7 @@
 
 #include "core/optimal_allocation.h"
 #include "oracle/counterexamples.h"
+#include "oracle/reference_checker.h"
 #include "promote/export.h"
 #include "promote/optimizer.h"
 #include "promote/promotion.h"

@@ -12,6 +12,8 @@
 #include "core/robustness.h"
 #include "core/split_schedule.h"
 #include "oracle/brute_force.h"
+#include "oracle/mixed_iso_graph.h"
+#include "oracle/reference_checker.h"
 #include "oracle/split_enumerator.h"
 #include "workloads/synthetic.h"
 

@@ -13,6 +13,7 @@
 #include "core/optimal_allocation.h"
 #include "core/robustness.h"
 #include "fixtures.h"
+#include "oracle/reference_checker.h"
 #include "txn/parser.h"
 
 namespace mvrob {

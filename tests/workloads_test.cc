@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "core/optimal_allocation.h"
-#include "core/rc_si_allocation.h"
-#include "core/robustness.h"
+#include "fixtures.h"
+#include "oracle/reference_checker.h"
 #include "txn/parser.h"
 #include "workloads/auction.h"
 #include "workloads/stats.h"
@@ -143,8 +143,8 @@ TEST(TpccTest, OptimalAllocationIsAllSi) {
 
 TEST(TpccTest, RcSiAllocatable) {
   Workload tpcc = MakeTpcc(TpccParams{});
-  RcSiAllocationResult result = ComputeOptimalRcSiAllocation(tpcc.txns);
-  EXPECT_TRUE(result.allocatable);
+  OptimalAllocationResult result = RcSiOptimum(tpcc.txns);
+  EXPECT_TRUE(result.feasible);
 }
 
 TEST(TpccTest, LargerInstantiationStaysSiRobust) {
@@ -172,8 +172,8 @@ TEST(SmallBankTest, NotRobustAgainstSiNorRc) {
 
 TEST(SmallBankTest, NotRcSiAllocatable) {
   Workload bank = MakeSmallBank(SmallBankParams{});
-  RcSiAllocationResult result = ComputeOptimalRcSiAllocation(bank.txns);
-  EXPECT_FALSE(result.allocatable);
+  OptimalAllocationResult result = RcSiOptimum(bank.txns);
+  EXPECT_FALSE(result.feasible);
   ASSERT_TRUE(result.counterexample.has_value());
 }
 
