@@ -46,8 +46,9 @@ void BM_Template_RobustnessTpcc(benchmark::State& state) {
   TemplateAllocation all_si(tpcc.size(), IsolationLevel::kSI);
   bool robust = false;
   for (auto _ : state) {
-    StatusOr<TemplateRobustnessResult> result =
-        CheckTemplateRobustness(tpcc, all_si);
+    StatusOr<TemplateAnalysis> analysis = TemplateAnalysis::Build(tpcc);
+    if (!analysis.ok()) continue;
+    StatusOr<TemplateRobustnessResult> result = analysis->Check(all_si);
     if (result.ok()) robust = result->robust;
     benchmark::DoNotOptimize(result);
   }
@@ -60,7 +61,9 @@ void BM_Template_OptimalAllocation(benchmark::State& state) {
   TemplateSet set =
       state.range(0) == 0 ? SmallBankTemplates() : AuctionTemplates();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ComputeOptimalTemplateAllocation(set));
+    StatusOr<TemplateAnalysis> analysis = TemplateAnalysis::Build(set);
+    if (!analysis.ok()) continue;
+    benchmark::DoNotOptimize(ComputeOptimalTemplateAllocation(*analysis));
   }
 }
 BENCHMARK(BM_Template_OptimalAllocation)->Arg(0)->Arg(1)
@@ -78,14 +81,12 @@ void BM_Template_ConstraintShowcase(benchmark::State& state) {
   TemplateAllocation after_levels;
   size_t promotions = 0;
   for (auto _ : state) {
-    StatusOr<TemplateAllocationResult> before =
-        ComputeOptimalTemplateAllocation(baseline);
-    StatusOr<TemplateAllocationResult> after =
-        ComputeOptimalTemplateAllocation(constrained);
-    StatusOr<TemplatePromotionPlan> plan =
-        OptimizeTemplatePromotions(constrained);
-    if (before.ok()) before_levels = before->levels;
-    if (after.ok()) after_levels = after->levels;
+    StatusOr<TemplateAnalysis> before = TemplateAnalysis::Build(baseline);
+    StatusOr<TemplateAnalysis> after = TemplateAnalysis::Build(constrained);
+    if (!before.ok() || !after.ok()) continue;
+    before_levels = ComputeOptimalTemplateAllocation(*before).levels;
+    after_levels = ComputeOptimalTemplateAllocation(*after).levels;
+    StatusOr<TemplatePromotionPlan> plan = OptimizeTemplatePromotions(*after);
     if (plan.ok()) promotions = plan->promotions.size();
     benchmark::DoNotOptimize(plan);
   }
@@ -122,13 +123,13 @@ void BM_Template_ScanAllocation(benchmark::State& state) {
   TemplateSet scan = TpccScanTemplates(static_cast<int>(state.range(0)));
   size_t ssi = 0;
   for (auto _ : state) {
-    StatusOr<TemplateAllocationResult> result =
-        ComputeOptimalTemplateAllocation(scan);
-    if (result.ok()) {
-      ssi = 0;
-      for (IsolationLevel level : result->levels) {
-        if (level == IsolationLevel::kSSI) ++ssi;
-      }
+    StatusOr<TemplateAnalysis> analysis = TemplateAnalysis::Build(scan);
+    if (!analysis.ok()) continue;
+    TemplateAllocationResult result =
+        ComputeOptimalTemplateAllocation(*analysis);
+    ssi = 0;
+    for (IsolationLevel level : result.levels) {
+      if (level == IsolationLevel::kSSI) ++ssi;
     }
     benchmark::DoNotOptimize(result);
   }

@@ -20,29 +20,30 @@ void Analyze(const char* title, const mvrob::TemplateSet& set) {
   using namespace mvrob;
   std::printf("\n=== %s ===\n%s", title, set.ToString().c_str());
 
-  StatusOr<TemplateAllocationResult> result =
-      ComputeOptimalTemplateAllocation(set);
-  if (!result.ok()) {
+  StatusOr<TemplateAnalysis> analysis = TemplateAnalysis::Build(set);
+  if (!analysis.ok()) {
     std::fprintf(stderr, "allocation failed: %s\n",
-                 result.status().ToString().c_str());
+                 analysis.status().ToString().c_str());
     return;
   }
+  const TemplateAllocation levels =
+      ComputeOptimalTemplateAllocation(*analysis).levels;
   std::printf("optimal per-program allocation:\n");
   for (size_t t = 0; t < set.size(); ++t) {
-    const char* level = IsolationLevelToString(result->levels[t]);
-    const char* sql = result->levels[t] == IsolationLevel::kRC
+    const char* level = IsolationLevelToString(levels[t]);
+    const char* sql = levels[t] == IsolationLevel::kRC
                           ? "READ COMMITTED"
-                          : (result->levels[t] == IsolationLevel::kSI
+                          : (levels[t] == IsolationLevel::kSI
                                  ? "REPEATABLE READ"
                                  : "SERIALIZABLE");
     std::printf("  %-16s -> %-3s  (SET TRANSACTION ISOLATION LEVEL %s)\n",
                 set.tmpl(t).name().c_str(), level, sql);
   }
   StatusOr<TemplateExplanation> explanation =
-      ExplainTemplateAllocation(set, result->levels);
+      ExplainTemplateAllocation(*analysis, levels);
   if (explanation.ok()) {
     std::printf("why nothing can run lower:\n%s",
-                explanation->ToString(set).c_str());
+                explanation->ToString(*analysis).c_str());
   }
 }
 

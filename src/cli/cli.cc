@@ -42,7 +42,6 @@
 #include "schedule/dot.h"
 #include "schedule/serializability.h"
 #include "templates/parser.h"
-#include "templates/predicate.h"
 #include "templates/promote.h"
 #include "templates/robustness.h"
 #include "templates/witness.h"
@@ -124,7 +123,8 @@ common flags:
   --record-trace <file>    Chrome trace_event timeline of the last
                            engine run (simulate)
   --threads <n>            worker threads for robustness checks (check,
-                           allocate, report; default 1, 0 = all cores)
+                           allocate, report, templates; default 1,
+                           0 = all cores)
   --stats-json <file>      write a metrics snapshot (counters, gauges,
                            histograms) as JSON after the command (under
                            serve: once, on clean shutdown)
@@ -678,7 +678,8 @@ int CmdCensus(const Flags& flags, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-int CmdTemplates(const Flags& flags, std::ostream& out, std::ostream& err) {
+int CmdTemplates(const Flags& flags, std::ostream& out, std::ostream& err,
+                 MetricsRegistry* metrics) {
   if (!flags.Has("templates")) {
     return Fail(err, Status::InvalidArgument("--templates is required"));
   }
@@ -698,38 +699,42 @@ int CmdTemplates(const Flags& flags, std::ostream& out, std::ostream& err) {
       IntFlag(flags, "max-instances", inst.max_instances, 1);
   if (!max_instances.ok()) return Fail(err, max_instances.status());
   inst.max_instances = *max_instances;
+  StatusOr<CheckOptions> options = LoadCheckOptions(flags, metrics);
+  if (!options.ok()) return Fail(err, options.status());
+
+  // One analysis serves every section below: the allocation, the
+  // conflict report, --explain, --promote, --validate-runs and the
+  // witness JSON.
+  StatusOr<TemplateAnalysis> analysis =
+      TemplateAnalysis::Build(set, inst, *options);
+  if (!analysis.ok()) return Fail(err, analysis.status());
+  const bool rcsi = flags.Has("rcsi");
+  StatusOr<TemplateAllocationResult> allocation =
+      ComputeOptimalTemplateAllocation(
+          *analysis, rcsi ? AllocationBounds::RcSi(set.size())
+                          : AllocationBounds::Free(set.size()));
+  if (!allocation.ok()) return Fail(err, allocation.status());
+  const TemplateAllocationResult& result = *allocation;
 
   TemplateWitnessInputs witness;
-  std::optional<TemplateAllocation> levels;
-
-  std::optional<RcSiTemplateAllocationResult> rcsi;
-  if (flags.Has("rcsi")) {
-    StatusOr<RcSiTemplateAllocationResult> result =
-        ComputeOptimalRcSiTemplateAllocation(set, inst);
-    if (!result.ok()) return Fail(err, result.status());
-    rcsi = *std::move(result);
-    if (!rcsi->allocatable) {
-      out << "NOT robustly {RC, SI}-allocatable at template granularity.\n"
-          << "witness: "
-          << rcsi->counterexample->ToString(rcsi->instantiation.txns);
-      if (!rcsi->world.empty()) out << " [world " << rcsi->world << "]";
-      out << "\n";
-    } else {
-      levels = *rcsi->levels;
-      out << "optimal {RC, SI} per-program allocation: "
-          << FormatTemplateAllocation(set, *levels) << "\n";
-    }
+  if (result.feasible) witness.levels = &result.levels;
+  if (!result.feasible) {  // Only the RcSi box can be infeasible.
+    out << "NOT robustly {RC, SI}-allocatable at template granularity.\n"
+        << "witness: "
+        << result.counterexample->ToString(analysis->txns(result.world));
+    const std::string& world = analysis->world_name(result.world);
+    if (!world.empty()) out << " [world " << world << "]";
+    out << "\n";
+  } else if (rcsi) {
+    out << "optimal {RC, SI} per-program allocation: "
+        << FormatTemplateAllocation(set, result.levels) << "\n";
   } else {
-    StatusOr<TemplateAllocationResult> result =
-        ComputeOptimalTemplateAllocation(set, inst);
-    if (!result.ok()) return Fail(err, result.status());
-    levels = result->levels;
-    witness.worlds = result->worlds;
-    witness.robustness_checks = result->robustness_checks;
+    witness.worlds = analysis->num_worlds();
+    witness.robustness_checks = result.robustness_checks;
     out << "optimal per-program allocation: "
-        << FormatTemplateAllocation(set, *levels) << "\n";
-    if (result->worlds > 1) {
-      out << "function worlds checked: " << result->worlds
+        << FormatTemplateAllocation(set, result.levels) << "\n";
+    if (analysis->num_worlds() > 1) {
+      out << "function worlds checked: " << analysis->num_worlds()
           << " (robust in every interpretation of the declared "
              "functions)\n";
     }
@@ -738,9 +743,7 @@ int CmdTemplates(const Flags& flags, std::ostream& out, std::ostream& err) {
   // The refined potential-conflict relation, with attribution: which
   // constraint or predicate discharged each template-op pair relative to
   // the distinct-parameter baseline.
-  StatusOr<TemplateConflictAnalysis> conflicts =
-      AnalyzeTemplateConflicts(set, inst);
-  if (conflicts.ok()) {
+  if (const TemplateConflictAnalysis* conflicts = analysis->conflicts()) {
     out << "template-pair conflicts: " << conflicts->conflicting_pairs
         << " (distinct-parameter baseline: "
         << conflicts->baseline_conflicting_pairs << ")\n";
@@ -756,21 +759,23 @@ int CmdTemplates(const Flags& flags, std::ostream& out, std::ostream& err) {
   }
 
   std::optional<TemplateExplanation> explanation;
-  if (flags.Has("explain") && levels.has_value()) {
+  if (flags.Has("explain") && result.feasible) {
     StatusOr<TemplateExplanation> explained =
-        ExplainTemplateAllocation(set, *levels, inst);
+        ExplainTemplateAllocation(*analysis, result.levels);
     if (!explained.ok()) return Fail(err, explained.status());
     explanation = *std::move(explained);
+    witness.explanation = &*explanation;
     out << "\nwhy no template can run lower:\n"
-        << explanation->ToString(set);
+        << explanation->ToString(*analysis);
   }
 
   std::optional<TemplatePromotionPlan> promotion;
   if (flags.Has("promote")) {
     StatusOr<TemplatePromotionPlan> plan =
-        OptimizeTemplatePromotions(set, PromoteOptions{}, inst);
+        OptimizeTemplatePromotions(*analysis, PromoteOptions{});
     if (!plan.ok()) return Fail(err, plan.status());
     promotion = *std::move(plan);
+    witness.promotion = &*promotion;
     if (promotion->improved) {
       out << "\ntemplate promotions (SELECT ... FOR UPDATE): "
           << FormatTemplatePromotions(set, promotion->promotions) << "\n"
@@ -792,46 +797,35 @@ int CmdTemplates(const Flags& flags, std::ostream& out, std::ostream& err) {
   StatusOr<int> validate_runs =
       IntFlag(flags, "validate-runs", 0, 0, std::numeric_limits<int>::max());
   if (!validate_runs.ok()) return Fail(err, validate_runs.status());
-  if (*validate_runs > 0 && levels.has_value()) {
+  if (*validate_runs > 0 && result.feasible) {
     StatusOr<uint64_t> seed = Uint64Flag(flags, "seed", 0);
     if (!seed.ok()) return Fail(err, seed.status());
-    StatusOr<std::vector<WorldInstantiation>> worlds =
-        InstantiateAllWorlds(set, inst);
-    if (!worlds.ok()) return Fail(err, worlds.status());
-    for (const WorldInstantiation& world : *worlds) {
-      std::vector<IsolationLevel> instance_levels;
-      for (int tmpl : world.instantiation.template_of_txn) {
-        instance_levels.push_back((*levels)[static_cast<size_t>(tmpl)]);
-      }
+    for (size_t w = 0; w < analysis->num_worlds(); ++w) {
       RoundTripOptions rt;
       rt.runs = *validate_runs;
       rt.seed = *seed;
       StatusOr<RoundTripReport> report = ValidateEngineRuns(
-          world.instantiation.txns, Allocation(std::move(instance_levels)),
-          rt);
+          analysis->instantiation(w).txns,
+          analysis->InstanceAllocation(w, result.levels), rt);
       if (!report.ok()) return Fail(err, report.status());
       disagreements += report->disagreements;
       out << "validation: runs=" << report->runs
           << " certified=" << report->certified
           << " disagreements=" << report->disagreements
           << " anomalous=" << report->anomalous_runs;
-      if (!world.instantiation.world.empty()) {
-        out << " [world " << world.instantiation.world << "]";
+      if (!analysis->world_name(w).empty()) {
+        out << " [world " << analysis->world_name(w) << "]";
       }
       out << "\n";
     }
   }
 
   if (flags.Has("witness-json")) {
-    if (levels.has_value()) witness.levels = &*levels;
-    if (conflicts.ok()) witness.conflicts = &*conflicts;
-    if (explanation.has_value()) witness.explanation = &*explanation;
-    if (promotion.has_value()) witness.promotion = &*promotion;
     Status emitted = EmitArtifact(flags.Get("witness-json"),
-                                  TemplateWitnessJson(set, witness), out);
+                                  TemplateWitnessJson(*analysis, witness), out);
     if (!emitted.ok()) return Fail(err, emitted);
   }
-  if (rcsi.has_value() && !rcsi->allocatable) return 1;
+  if (!result.feasible) return 1;
   if (disagreements != 0) return 2;
   return 0;
 }
@@ -1374,7 +1368,7 @@ int Dispatch(const std::string& command, const Flags& flags, std::istream& in,
   if (command == "allocate") return CmdAllocate(flags, out, err, metrics);
   if (command == "explore") return CmdExplore(flags, out, err);
   if (command == "census") return CmdCensus(flags, out, err);
-  if (command == "templates") return CmdTemplates(flags, out, err);
+  if (command == "templates") return CmdTemplates(flags, out, err, metrics);
   if (command == "report") return CmdReport(flags, out, err, metrics);
   if (command == "crosscheck") return CmdCrossCheck(flags, out, err);
   if (command == "simulate") {

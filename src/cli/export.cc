@@ -58,45 +58,13 @@ Status ExportMetricsFiles(const MetricsRegistry& registry,
     if (!written.ok()) return written;
   }
   if (!trace_path.empty()) {
-    const std::string trace = tracer == nullptr
-                                  ? registry.TraceJson()
-                                  : MergedTraceJson(registry, tracer);
-    Status written = WriteTextFile(trace_path, trace);
+    Status written =
+        WriteTextFile(trace_path, registry.TraceJson([&](JsonWriter& json) {
+          if (tracer != nullptr) tracer->WriteChromeEvents(json);
+        }));
     if (!written.ok()) return written;
   }
   return Status::Ok();
-}
-
-std::string MergedTraceJson(const MetricsRegistry& registry,
-                            const TxnTracer* tracer) {
-  JsonWriter json;
-  json.BeginObject();
-  json.Key("displayTimeUnit");
-  json.String("ms");
-  json.Key("traceEvents");
-  json.BeginArray();
-  for (const TraceEvent& event : registry.TraceEvents()) {
-    json.BeginObject();
-    json.Key("name");
-    json.String(event.name);
-    json.Key("cat");
-    json.String("mvrob");
-    json.Key("ph");
-    json.String("X");
-    json.Key("ts");
-    json.Uint(event.start_us);
-    json.Key("dur");
-    json.Uint(event.dur_us);
-    json.Key("pid");
-    json.Uint(1);
-    json.Key("tid");
-    json.Uint(event.tid);
-    json.EndObject();
-  }
-  if (tracer != nullptr) tracer->WriteChromeEvents(json);
-  json.EndArray();
-  json.EndObject();
-  return json.str();
 }
 
 PeriodicMetricsExporter::PeriodicMetricsExporter(

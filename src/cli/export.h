@@ -26,20 +26,15 @@ Status EmitArtifact(const std::string& path, const std::string& content,
 /// Writes the registry's --stats-json / --trace-out snapshots. Either path
 /// may be empty to skip that file. Shared by the end-of-command export, the
 /// periodic exporter, and the serve loop. With a tracer attached, the
-/// trace file carries the merged Chrome trace (registry phase spans + the
-/// tracer's sampled txn spans and retry flow events).
+/// trace file carries the merged Chrome trace: the registry's phase spans,
+/// then the tracer's sampled txn attempt spans and retry flow events (one
+/// shared flow id per logical transaction). Both sources stamp
+/// microseconds on the steady clock from their construction epochs, which
+/// coincide at process start for the CLI paths.
 Status ExportMetricsFiles(const MetricsRegistry& registry,
                           const std::string& stats_path,
                           const std::string& trace_path,
                           const TxnTracer* tracer = nullptr);
-
-/// The merged Chrome trace_event object: the registry's phase spans plus,
-/// when `tracer` is non-null, its sampled transaction attempt spans and
-/// retry flow events (one shared flow id per logical transaction). Both
-/// sources stamp microseconds on the steady clock from their construction
-/// epochs, which coincide at process start for the CLI paths.
-std::string MergedTraceJson(const MetricsRegistry& registry,
-                            const TxnTracer* tracer);
 
 /// Background thread that rewrites the --stats-json / --trace-out files
 /// every `interval` while a long command runs, so an external watcher can

@@ -404,15 +404,21 @@ std::string MetricsRegistry::SnapshotJson() const {
   return json.str();
 }
 
-std::string MetricsRegistry::TraceJson() const {
-  std::lock_guard<std::mutex> lock(trace_mu_);
+std::string MetricsRegistry::TraceJson(
+    const std::function<void(JsonWriter&)>& more_events) const {
+  std::vector<TraceEvent> events;
+  {
+    // Copied so that `more_events` runs without the span lock held.
+    std::lock_guard<std::mutex> lock(trace_mu_);
+    events = events_;
+  }
   JsonWriter json;
   json.BeginObject();
   json.Key("displayTimeUnit");
   json.String("ms");
   json.Key("traceEvents");
   json.BeginArray();
-  for (const TraceEvent& event : events_) {
+  for (const TraceEvent& event : events) {
     json.BeginObject();
     json.Key("name");
     json.String(event.name);
@@ -430,14 +436,10 @@ std::string MetricsRegistry::TraceJson() const {
     json.Uint(event.tid);
     json.EndObject();
   }
+  if (more_events) more_events(json);
   json.EndArray();
   json.EndObject();
   return json.str();
-}
-
-std::vector<TraceEvent> MetricsRegistry::TraceEvents() const {
-  std::lock_guard<std::mutex> lock(trace_mu_);
-  return events_;
 }
 
 uint32_t MetricsRegistry::CurrentThreadId() {

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -13,6 +14,8 @@
 #include <vector>
 
 namespace mvrob {
+
+class JsonWriter;
 
 /// A monotonically increasing event count. All mutators are lock-free and
 /// safe to call from any thread.
@@ -273,10 +276,11 @@ class MetricsRegistry {
                   std::chrono::steady_clock::time_point end);
 
   std::string SnapshotJson() const;
-  std::string TraceJson() const;
-  /// Copy of the recorded spans (for callers composing a merged Chrome
-  /// trace with events from other sources, e.g. the txn tracer).
-  std::vector<TraceEvent> TraceEvents() const;
+  /// The Chrome trace of the recorded spans. A non-empty `more_events`
+  /// appends events from another source (e.g. the txn tracer's sampled
+  /// attempt spans) into the open traceEvents array after them.
+  std::string TraceJson(
+      const std::function<void(JsonWriter&)>& more_events = {}) const;
 
   /// A small dense id for the calling thread (1, 2, ...), used as the
   /// trace `tid` and for per-thread work accounting.

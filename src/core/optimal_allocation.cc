@@ -31,22 +31,31 @@ LoweringResult LowerToOptimum(Allocation top,
   return result;
 }
 
+Status ValidateBounds(const AllocationBounds& bounds, size_t units,
+                      const std::function<std::string(size_t)>& unit_name) {
+  if (bounds.min_level.size() != units || bounds.max_level.size() != units) {
+    return Status::InvalidArgument("bounds size mismatch");
+  }
+  for (size_t u = 0; u < units; ++u) {
+    if (bounds.max_level[u] < bounds.min_level[u]) {
+      return Status::InvalidArgument(
+          StrCat("empty bounds for ", unit_name(u), ": min ",
+                 IsolationLevelToString(bounds.min_level[u]), " > max ",
+                 IsolationLevelToString(bounds.max_level[u])));
+    }
+  }
+  return Status::Ok();
+}
+
 StatusOr<OptimalAllocationResult> ComputeOptimalAllocation(
     const RobustnessAnalyzer& analyzer, const AllocationBounds& bounds,
     const CheckOptions& options) {
   const TransactionSet& txns = analyzer.txns();
   const size_t n = txns.size();
-  if (bounds.min_level.size() != n || bounds.max_level.size() != n) {
-    return Status::InvalidArgument("bounds size mismatch");
-  }
-  for (TxnId t = 0; t < n; ++t) {
-    if (bounds.max_level[t] < bounds.min_level[t]) {
-      return Status::InvalidArgument(
-          StrCat("empty bounds for ", txns.txn(t).name(), ": min ",
-                 IsolationLevelToString(bounds.min_level[t]), " > max ",
-                 IsolationLevelToString(bounds.max_level[t])));
-    }
-  }
+  Status valid = ValidateBounds(bounds, n, [&](size_t t) {
+    return txns.txn(static_cast<TxnId>(t)).name();
+  });
+  if (!valid.ok()) return valid;
 
   PhaseTimer timer(options.metrics, "allocation.algorithm2");
   OptimalAllocationResult result;

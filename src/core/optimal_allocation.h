@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/robustness.h"
@@ -47,6 +48,11 @@ struct AllocationBounds {
     return *this;
   }
 };
+
+/// OK when `bounds` has one level pair per unit and min <= max for each;
+/// otherwise InvalidArgument naming the first empty unit by `unit_name`.
+Status ValidateBounds(const AllocationBounds& bounds, size_t units,
+                      const std::function<std::string(size_t)>& unit_name);
 
 /// Result of Algorithm 2 over a box of AllocationBounds.
 struct OptimalAllocationResult {

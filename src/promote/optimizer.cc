@@ -117,7 +117,7 @@ StatusOr<Evaluation> Evaluate(const TransactionSet& txns,
 
 /// Exhaustive small-k fallback: tries subsets of `pool` (sizes 1..max_k,
 /// ascending, lexicographic within a size) on top of `chosen`, bounded by
-/// options.exhaustive_budget Algorithm 2 evaluations. Returns the best
+/// kExhaustiveBudget Algorithm 2 evaluations. Returns the best
 /// strictly-improving evaluation and its subset, if any.
 struct ExhaustiveHit {
   std::vector<OpRef> subset;
@@ -139,7 +139,7 @@ std::optional<ExhaustiveHit> ExhaustiveSearch(const TransactionSet& txns,
     std::vector<size_t> idx(k);
     for (size_t i = 0; i < k; ++i) idx[i] = i;
     while (true) {
-      if (evaluated >= options.exhaustive_budget || Cancelled(options)) {
+      if (evaluated >= kExhaustiveBudget || Cancelled(options)) {
         if (best.has_value()) best->evaluated = evaluated;
         return best;
       }
@@ -210,8 +210,8 @@ StatusOr<PromotionPlan> OptimizePromotions(const TransactionSet& txns,
       break;
     }
     pool.insert(pool.end(), candidates.begin(), candidates.end());
-    if (candidates.size() > options.max_candidates_per_round) {
-      candidates.resize(options.max_candidates_per_round);
+    if (candidates.size() > kMaxCandidatesPerRound) {
+      candidates.resize(kMaxCandidatesPerRound);
     }
     std::optional<OpRef> best_read;
     std::optional<Evaluation> best_eval;
@@ -247,7 +247,7 @@ StatusOr<PromotionPlan> OptimizePromotions(const TransactionSet& txns,
                          ? static_cast<size_t>(options.max_promotions) -
                                plan.promotions.size()
                          : 0;
-  if (!plan.cancelled && options.exhaustive_fallback && remaining >= 2 &&
+  if (!plan.cancelled && remaining >= 2 &&
       current.cost.weighted > 0) {
     std::sort(pool.begin(), pool.end());
     pool.erase(std::unique(pool.begin(), pool.end()), pool.end());

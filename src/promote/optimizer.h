@@ -12,6 +12,14 @@
 
 namespace mvrob {
 
+/// Distinct candidates the greedy promotion searches (this one and the
+/// template-level one in templates/promote.h) evaluate per round.
+inline constexpr size_t kMaxCandidatesPerRound = 32;
+/// When greedy stalls, the instance-level search exhaustively tries
+/// subsets of the accumulated candidate pool (sizes up to the remaining
+/// budget), bounded by this many Algorithm 2 evaluations.
+inline constexpr size_t kExhaustiveBudget = 256;
+
 /// Tuning knobs for the promotion search. `check` is forwarded to every
 /// robustness check and Algorithm 2 run, so the search composes with the
 /// parallel engine (num_threads), the observability layer (metrics) and
@@ -25,13 +33,6 @@ struct PromoteOptions {
   /// Counterexample chains gathered per non-robust probe (the candidate
   /// source); more chains = wider frontier per round.
   size_t witnesses_per_round = 16;
-  /// Cap on distinct candidates evaluated per greedy round.
-  size_t max_candidates_per_round = 32;
-  /// When greedy stalls, exhaustively try subsets of the accumulated
-  /// candidate pool (sizes up to the remaining budget)...
-  bool exhaustive_fallback = true;
-  /// ...bounded by this many Algorithm 2 evaluations.
-  size_t exhaustive_budget = 256;
   /// Allocation cost weights (RC is always free). The defaults make one
   /// SSI slot as expensive as two SI slots.
   int weight_si = 1;

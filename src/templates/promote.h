@@ -8,19 +8,6 @@
 
 namespace mvrob {
 
-/// A promoted template read: op `op` of template `tmpl` becomes
-/// SELECT ... FOR UPDATE in *every* instance — the granularity at which
-/// an application can actually change a prepared statement. Predicate
-/// reads promote every expanded point read (a FOR UPDATE scan locks each
-/// matching row).
-struct TemplatePromotion {
-  size_t tmpl = 0;
-  int op = 0;
-
-  friend bool operator==(const TemplatePromotion&,
-                         const TemplatePromotion&) = default;
-};
-
 /// Verdict of the template-granularity promotion search.
 struct TemplatePromotionPlan {
   std::vector<TemplatePromotion> promotions;
@@ -33,21 +20,20 @@ struct TemplatePromotionPlan {
   AllocationCost after_cost;
   bool improved = false;
   uint64_t allocations_computed = 0;
-  size_t worlds = 1;
 };
 
 /// Greedy witness-guided promotion at template granularity, threading the
 /// instance-level machinery of src/promote through the template layer:
 /// candidate template reads are harvested from the counterexample chains
 /// that block each template's lowering (CandidatesFromChain, lifted from
-/// instance OpRefs to template ops through the instantiation's op map),
-/// each candidate is applied to every instance in every world
-/// (ApplyPromotions) and scored by the lifted Algorithm 2, and the best
-/// strictly-improving candidate is committed, up to
-/// options.max_promotions rounds.
+/// instance OpRefs to template ops through TemplateAnalysis::TemplateOpOf),
+/// each candidate set is applied to every instance in every world
+/// (TemplateAnalysis::Promote) and scored by the template allocator, and
+/// the best strictly-improving candidate is committed, up to
+/// options.max_promotions rounds. The weights and budget come from
+/// `options`; every check runs with the analysis's CheckOptions.
 StatusOr<TemplatePromotionPlan> OptimizeTemplatePromotions(
-    const TemplateSet& set, const PromoteOptions& options = {},
-    const InstantiationOptions& instantiation = {});
+    const TemplateAnalysis& analysis, const PromoteOptions& options = {});
 
 /// "Deliver.op2" labels for reports.
 std::string FormatTemplatePromotions(

@@ -1,191 +1,200 @@
 #include "templates/robustness.h"
 
-#include <memory>
-
+#include "common/metrics.h"
 #include "common/string_util.h"
-#include "core/analyzer.h"
-#include "core/optimal_allocation.h"
-#include "templates/predicate.h"
 
 namespace mvrob {
-namespace {
 
-Allocation InstanceAllocation(const Instantiation& instantiation,
-                              const TemplateAllocation& levels) {
-  std::vector<IsolationLevel> instance_levels;
-  instance_levels.reserve(instantiation.txns.size());
-  for (int tmpl : instantiation.template_of_txn) {
-    instance_levels.push_back(levels[tmpl]);
-  }
-  return Allocation(std::move(instance_levels));
-}
-
-// Everything the world-quantified checks share: the per-world
-// instantiations, the refined template-pair conflict relation, and one
-// pruned analyzer per world. This is where the template-level precision
-// reaches the core kernels: the refined relation masks the analyzer's
-// pair scans, and every mixed-iso-graph built during witness recovery
-// shares the masked conflict matrix.
-struct TemplateAnalysis {
-  std::vector<WorldInstantiation> worlds;
-  std::optional<TemplateConflictAnalysis> conflicts;
-  std::vector<std::unique_ptr<RobustnessAnalyzer>> analyzers;
-};
-
-StatusOr<TemplateAnalysis> BuildTemplateAnalysis(
-    const TemplateSet& set, const InstantiationOptions& options) {
-  TemplateAnalysis analysis;
+StatusOr<TemplateAnalysis> TemplateAnalysis::Build(
+    const TemplateSet& set, const InstantiationOptions& options,
+    const CheckOptions& check) {
+  auto shared = std::make_shared<Shared>();
+  shared->set = set;
+  shared->check = check;
   StatusOr<std::vector<WorldInstantiation>> worlds =
       InstantiateAllWorlds(set, options);
   if (!worlds.ok()) return worlds.status();
-  analysis.worlds = std::move(worlds).value();
-  // The refined relation is a pure accelerator here; if its enumeration
-  // budget is exceeded the analyzers simply run unpruned.
+  shared->worlds = std::move(worlds).value();
   StatusOr<TemplateConflictAnalysis> conflicts =
       AnalyzeTemplateConflicts(set, options);
-  if (conflicts.ok()) analysis.conflicts = std::move(conflicts).value();
-  for (const WorldInstantiation& world : analysis.worlds) {
+  if (conflicts.ok()) shared->conflicts = std::move(conflicts).value();
+
+  TemplateAnalysis analysis;
+  for (const WorldInstantiation& world : shared->worlds) {
     ConflictPruner pruner;
-    if (analysis.conflicts.has_value()) {
-      pruner.group_conflicts = &analysis.conflicts->pair_conflicts;
+    if (shared->conflicts.has_value()) {
+      pruner.group_conflicts = &shared->conflicts->pair_conflicts;
       pruner.group_of_txn = &world.instantiation.template_of_txn;
     }
-    analysis.analyzers.push_back(std::make_unique<RobustnessAnalyzer>(
-        world.instantiation.txns, pruner, nullptr));
+    analysis.analyzers_.push_back(std::make_unique<RobustnessAnalyzer>(
+        world.instantiation.txns, pruner, check.metrics));
   }
+  analysis.shared_ = std::move(shared);
   return analysis;
 }
 
-// True when `levels` keeps every world robust; otherwise reports the
-// first failing world. A non-null `base` must be robust in every world;
-// each world is then checked by delta against it.
-bool RobustInAllWorlds(const TemplateAnalysis& analysis,
-                       const TemplateAllocation& levels,
-                       const TemplateAllocation* base,
-                       uint64_t* robustness_checks,
-                       size_t* failing_world = nullptr,
-                       std::optional<CounterexampleChain>* chain = nullptr) {
-  for (size_t w = 0; w < analysis.worlds.size(); ++w) {
-    if (robustness_checks != nullptr) ++*robustness_checks;
-    const Instantiation& inst = analysis.worlds[w].instantiation;
-    const RobustnessAnalyzer& analyzer = *analysis.analyzers[w];
-    Allocation alloc = InstanceAllocation(inst, levels);
-    RobustnessResult result =
-        base == nullptr
-            ? analyzer.Check(alloc)
-            : analyzer.CheckDelta(InstanceAllocation(inst, *base), alloc);
-    if (!result.robust) {
-      if (failing_world != nullptr) *failing_world = w;
-      if (chain != nullptr) *chain = std::move(result.counterexample);
-      return false;
+StatusOr<TemplateAnalysis> TemplateAnalysis::Promote(
+    const std::vector<TemplatePromotion>& promotions) const {
+  TemplateAnalysis promoted;
+  promoted.shared_ = shared_;
+  promoted.rewrites_.reserve(num_worlds());
+  for (const WorldInstantiation& world : shared_->worlds) {
+    const Instantiation& inst = world.instantiation;
+    PromotionSet instance_promotions;
+    for (TxnId i = 0; i < inst.txns.size(); ++i) {
+      const std::vector<int>& op_map = inst.template_op_of_op[i];
+      for (const TemplatePromotion& promotion : promotions) {
+        if (static_cast<int>(promotion.tmpl) != inst.template_of_txn[i]) {
+          continue;
+        }
+        for (size_t k = 0; k < op_map.size(); ++k) {
+          if (op_map[k] != promotion.op) continue;
+          OpRef ref{i, static_cast<int32_t>(k)};
+          if (IsPromotableRead(inst.txns, ref)) instance_promotions.Add(ref);
+        }
+      }
+    }
+    StatusOr<PromotionRewrite> rewrite =
+        ApplyPromotions(inst.txns, instance_promotions);
+    if (!rewrite.ok()) return rewrite.status();
+    promoted.rewrites_.push_back(std::move(rewrite).value());
+  }
+  for (const PromotionRewrite& rewrite : promoted.rewrites_) {
+    promoted.analyzers_.push_back(std::make_unique<RobustnessAnalyzer>(
+        rewrite.promoted, shared_->check.metrics));
+  }
+  return promoted;
+}
+
+const TransactionSet& TemplateAnalysis::txns(size_t w) const {
+  return rewrites_.empty() ? instantiation(w).txns : rewrites_[w].promoted;
+}
+
+Allocation TemplateAnalysis::InstanceAllocation(
+    size_t w, const TemplateAllocation& levels) const {
+  const std::vector<int>& template_of_txn = instantiation(w).template_of_txn;
+  std::vector<IsolationLevel> instance_levels;
+  instance_levels.reserve(template_of_txn.size());
+  for (int tmpl : template_of_txn) instance_levels.push_back(levels[tmpl]);
+  return Allocation(std::move(instance_levels));
+}
+
+std::optional<TemplatePromotion> TemplateAnalysis::TemplateOpOf(
+    size_t w, OpRef ref) const {
+  if (!rewrites_.empty()) {
+    std::optional<OpRef> base = rewrites_[w].OriginalRef(ref);
+    if (!base.has_value()) return std::nullopt;
+    ref = *base;
+  }
+  const Instantiation& inst = instantiation(w);
+  const std::vector<int>& op_map = inst.template_op_of_op[ref.txn];
+  if (ref.index < 0 || static_cast<size_t>(ref.index) >= op_map.size()) {
+    return std::nullopt;
+  }
+  return TemplatePromotion{static_cast<size_t>(inst.template_of_txn[ref.txn]),
+                           op_map[ref.index]};
+}
+
+StatusOr<TemplateRobustnessResult> TemplateAnalysis::Check(
+    const TemplateAllocation& levels, const TemplateAllocation* base) const {
+  for (const TemplateAllocation* alloc : {&levels, base}) {
+    if (alloc != nullptr && alloc->size() != num_templates()) {
+      return Status::InvalidArgument(
+          StrCat("allocation has ", alloc->size(), " levels for ",
+                 num_templates(), " templates"));
     }
   }
-  return true;
-}
-
-// Algorithm 2 at template granularity: the lowering loop of
-// core/optimal_allocation.h from `top`, which must keep every world
-// robust, with a probe that accepts a level only when every world stays
-// robust.
-TemplateAllocation LowerTemplates(const TemplateAnalysis& analysis,
-                                  TemplateAllocation top,
-                                  uint64_t* robustness_checks) {
-  const std::vector<IsolationLevel> floor(top.size(), IsolationLevel::kRC);
-  return LowerToOptimum(
-             Allocation(std::move(top)), floor,
-             [&](const Allocation& current, const Allocation& candidate) {
-               return RobustInAllWorlds(analysis, candidate.levels(),
-                                        &current.levels(), robustness_checks)
-                          ? ProbeVerdict::kRobust
-                          : ProbeVerdict::kNotRobust;
-             })
-      .allocation.levels();
-}
-
-}  // namespace
-
-StatusOr<TemplateRobustnessResult> CheckTemplateRobustness(
-    const TemplateSet& set, const TemplateAllocation& levels,
-    const InstantiationOptions& options) {
-  if (levels.size() != set.size()) {
-    return Status::InvalidArgument(
-        StrCat("allocation has ", levels.size(), " levels for ", set.size(),
-               " templates"));
-  }
-  StatusOr<TemplateAnalysis> analysis = BuildTemplateAnalysis(set, options);
-  if (!analysis.ok()) return analysis.status();
-
   TemplateRobustnessResult result;
-  result.worlds_checked = analysis->worlds.size();
-  size_t failing_world = 0;
-  std::optional<CounterexampleChain> chain;
-  result.robust = RobustInAllWorlds(*analysis, levels, nullptr, nullptr,
-                                    &failing_world, &chain);
-  if (result.robust) {
-    result.instantiation = std::move(analysis->worlds.front().instantiation);
-  } else {
-    result.counterexample = std::move(chain);
-    result.world = analysis->worlds[failing_world].world.name;
-    result.instantiation =
-        std::move(analysis->worlds[failing_world].instantiation);
+  for (size_t w = 0; w < num_worlds(); ++w) {
+    ++result.checks;
+    const RobustnessAnalyzer& analyzer = *analyzers_[w];
+    Allocation alloc = InstanceAllocation(w, levels);
+    RobustnessResult world =
+        base == nullptr
+            ? analyzer.Check(alloc, shared_->check)
+            : analyzer.CheckDelta(InstanceAllocation(w, *base), alloc,
+                                  shared_->check);
+    if (world.cancelled || !world.robust) {
+      result.robust = false;
+      result.cancelled = world.cancelled;
+      result.world = w;
+      result.counterexample = std::move(world.counterexample);
+      break;
+    }
   }
   return result;
 }
 
 StatusOr<TemplateAllocationResult> ComputeOptimalTemplateAllocation(
-    const TemplateSet& set, const InstantiationOptions& options) {
-  StatusOr<TemplateAnalysis> analysis = BuildTemplateAnalysis(set, options);
-  if (!analysis.ok()) return analysis.status();
+    const TemplateAnalysis& analysis, const AllocationBounds& bounds,
+    const TemplateBlockedSink& on_blocked) {
+  const TemplateSet& set = analysis.set();
+  Status valid = ValidateBounds(bounds, set.size(), [&](size_t t) {
+    return set.tmpl(t).name();
+  });
+  if (!valid.ok()) return valid;
 
+  MetricsRegistry* metrics = analysis.check_options().metrics;
+  PhaseTimer timer(metrics, "allocation.algorithm2");
   TemplateAllocationResult result;
-  result.worlds = analysis->worlds.size();
-  result.levels =
-      LowerTemplates(*analysis, TemplateAllocation(set.size(),
-                                                   IsolationLevel::kSSI),
-                     &result.robustness_checks);
-  return result;
-}
-
-StatusOr<RcSiTemplateAllocationResult> ComputeOptimalRcSiTemplateAllocation(
-    const TemplateSet& set, const InstantiationOptions& options) {
-  StatusOr<TemplateAnalysis> analysis = BuildTemplateAnalysis(set, options);
-  if (!analysis.ok()) return analysis.status();
-
-  RcSiTemplateAllocationResult result;
-  TemplateAllocation all_si(set.size(), IsolationLevel::kSI);
-  size_t failing_world = 0;
-  std::optional<CounterexampleChain> chain;
-  if (!RobustInAllWorlds(*analysis, all_si, nullptr, nullptr, &failing_world,
-                         &chain)) {
-    result.allocatable = false;
-    result.counterexample = std::move(chain);
-    result.world = analysis->worlds[failing_world].world.name;
-    result.instantiation =
-        std::move(analysis->worlds[failing_world].instantiation);
-    return result;
+  const TemplateAllocation& top = bounds.max_level;
+  result.feasible = true;
+  if (top != TemplateAllocation(set.size(), IsolationLevel::kSSI)) {
+    TemplateRobustnessResult at_top = *analysis.Check(top);
+    result.robustness_checks += at_top.checks;
+    result.cancelled = at_top.cancelled;
+    result.feasible = at_top.robust;
+    result.world = at_top.world;
+    result.counterexample = std::move(at_top.counterexample);
   }
-  result.allocatable = true;
-  result.instantiation = analysis->worlds.front().instantiation;
-  result.levels = LowerTemplates(*analysis, std::move(all_si), nullptr);
+  uint64_t levels_tried = 0;
+  if (result.feasible) {
+    LoweringResult lowered = LowerToOptimum(
+        Allocation(top), bounds.min_level,
+        [&](const Allocation& current, const Allocation& candidate) {
+          TemplateRobustnessResult check =
+              *analysis.Check(candidate.levels(), &current.levels());
+          result.robustness_checks += check.checks;
+          if (check.cancelled) return ProbeVerdict::kCancelled;
+          if (check.robust) return ProbeVerdict::kRobust;
+          if (on_blocked) on_blocked(check);
+          return ProbeVerdict::kNotRobust;
+        });
+    result.levels = lowered.allocation.levels();
+    result.cancelled = lowered.cancelled;
+    levels_tried = lowered.probes;
+  }
+  if (metrics != nullptr) {
+    metrics->counter("allocation.runs").Increment();
+    metrics->counter("allocation.robustness_checks")
+        .Add(result.robustness_checks);
+    metrics->counter("allocation.lattice_levels_tried").Add(levels_tried);
+  }
   return result;
 }
 
-std::string TemplateExplanation::ToString(const TemplateSet& set) const {
+TemplateAllocationResult ComputeOptimalTemplateAllocation(
+    const TemplateAnalysis& analysis) {
+  // Free bounds are well formed and their top, all-SSI, is never checked.
+  return ComputeOptimalTemplateAllocation(
+             analysis, AllocationBounds::Free(analysis.num_templates()))
+      .value();
+}
+
+std::string TemplateExplanation::ToString(
+    const TemplateAnalysis& analysis) const {
   std::string out;
   for (const TemplateObstacle& entry : per_template) {
-    out += StrCat(set.tmpl(entry.tmpl).name(), " = ",
+    out += StrCat(analysis.set().tmpl(entry.tmpl).name(), " = ",
                   IsolationLevelToString(entry.assigned), "\n");
     if (entry.obstacles.empty() && entry.assigned != IsolationLevel::kRC) {
       out += "  (could be lowered: the allocation is not optimal)\n";
     }
     for (const TemplateObstacle::Entry& obstacle : entry.obstacles) {
-      out += StrCat(
-          "  not ", IsolationLevelToString(obstacle.attempted), ": ",
-          obstacle.chain.ToString(
-              world_instantiations[obstacle.world_index].txns));
-      if (!obstacle.world.empty()) {
-        out += StrCat(" [world ", obstacle.world, "]");
-      }
+      out += StrCat("  not ", IsolationLevelToString(obstacle.attempted),
+                    ": ", obstacle.chain.ToString(analysis.txns(obstacle.world)));
+      const std::string& world = analysis.world_name(obstacle.world);
+      if (!world.empty()) out += StrCat(" [world ", world, "]");
       out += "\n";
     }
   }
@@ -193,21 +202,20 @@ std::string TemplateExplanation::ToString(const TemplateSet& set) const {
 }
 
 StatusOr<TemplateExplanation> ExplainTemplateAllocation(
-    const TemplateSet& set, const TemplateAllocation& levels,
-    const InstantiationOptions& options) {
-  if (levels.size() != set.size()) {
-    return Status::InvalidArgument("allocation size mismatch");
-  }
-  StatusOr<TemplateAnalysis> analysis = BuildTemplateAnalysis(set, options);
-  if (!analysis.ok()) return analysis.status();
-
-  TemplateExplanation explanation;
-  explanation.levels = levels;
-  if (!RobustInAllWorlds(*analysis, levels, nullptr, nullptr)) {
+    const TemplateAnalysis& analysis, const TemplateAllocation& levels) {
+  StatusOr<TemplateRobustnessResult> robust = analysis.Check(levels);
+  if (!robust.ok()) return robust.status();
+  auto cancelled = [] {
+    return Status::ResourceExhausted("the explanation was cancelled");
+  };
+  if (robust->cancelled) return cancelled();
+  if (!robust->robust) {
     return Status::FailedPrecondition(
         "the template allocation is not robust; nothing to explain");
   }
-  for (size_t t = 0; t < set.size(); ++t) {
+  TemplateExplanation explanation;
+  explanation.levels = levels;
+  for (size_t t = 0; t < levels.size(); ++t) {
     TemplateObstacle entry;
     entry.tmpl = t;
     entry.assigned = levels[t];
@@ -215,22 +223,15 @@ StatusOr<TemplateExplanation> ExplainTemplateAllocation(
       if (!(lower < entry.assigned)) continue;
       TemplateAllocation candidate = levels;
       candidate[t] = lower;
-      size_t failing_world = 0;
-      std::optional<CounterexampleChain> chain;
-      if (!RobustInAllWorlds(*analysis, candidate, &levels, nullptr,
-                             &failing_world, &chain)) {
+      TemplateRobustnessResult check = *analysis.Check(candidate, &levels);
+      if (check.cancelled) return cancelled();
+      if (!check.robust) {
         entry.obstacles.push_back(TemplateObstacle::Entry{
-            lower, std::move(*chain), failing_world,
-            analysis->worlds[failing_world].world.name});
+            lower, std::move(*check.counterexample), check.world});
       }
     }
     explanation.per_template.push_back(std::move(entry));
   }
-  for (WorldInstantiation& world : analysis->worlds) {
-    explanation.world_instantiations.push_back(
-        std::move(world.instantiation));
-  }
-  explanation.instantiation = explanation.world_instantiations.front();
   return explanation;
 }
 

@@ -6,8 +6,9 @@
 namespace mvrob {
 namespace {
 
-void EmitChain(JsonWriter& json, const TransactionSet& txns,
-               const CounterexampleChain& chain, const std::string& world) {
+void EmitChain(JsonWriter& json, const TemplateAnalysis& analysis,
+               size_t world, const CounterexampleChain& chain) {
+  const TransactionSet& txns = analysis.txns(world);
   json.BeginObject();
   json.Key("t1");
   json.String(txns.txn(chain.t1).name());
@@ -18,7 +19,7 @@ void EmitChain(JsonWriter& json, const TransactionSet& txns,
   json.Key("chain");
   json.String(chain.ToString(txns));
   json.Key("world");
-  json.String(world);
+  json.String(analysis.world_name(world));
   json.EndObject();
 }
 
@@ -38,8 +39,9 @@ void EmitLevels(JsonWriter& json, const TemplateSet& set,
 
 }  // namespace
 
-std::string TemplateWitnessJson(const TemplateSet& set,
+std::string TemplateWitnessJson(const TemplateAnalysis& analysis,
                                 const TemplateWitnessInputs& inputs) {
+  const TemplateSet& set = analysis.set();
   JsonWriter json;
   json.BeginObject();
   json.Key("format");
@@ -65,17 +67,17 @@ std::string TemplateWitnessJson(const TemplateSet& set,
     json.Key("robust");
     json.Bool(inputs.check->robust);
     json.Key("worlds_checked");
-    json.Uint(inputs.check->worlds_checked);
+    json.Uint(inputs.check->checks);
     if (!inputs.check->robust && inputs.check->counterexample.has_value()) {
       json.Key("counterexample");
-      EmitChain(json, inputs.check->instantiation.txns,
-                *inputs.check->counterexample, inputs.check->world);
+      EmitChain(json, analysis, inputs.check->world,
+                *inputs.check->counterexample);
     }
     json.EndObject();
   }
 
-  if (inputs.conflicts != nullptr) {
-    const TemplateConflictAnalysis& conflicts = *inputs.conflicts;
+  if (analysis.conflicts() != nullptr) {
+    const TemplateConflictAnalysis& conflicts = *analysis.conflicts();
     json.Key("conflicts");
     json.BeginObject();
     json.Key("conflicting_pairs");
@@ -130,10 +132,7 @@ std::string TemplateWitnessJson(const TemplateSet& set,
         json.Key("attempted");
         json.String(IsolationLevelToString(obstacle.attempted));
         json.Key("witness");
-        EmitChain(
-            json,
-            explanation.world_instantiations[obstacle.world_index].txns,
-            obstacle.chain, obstacle.world);
+        EmitChain(json, analysis, obstacle.world, obstacle.chain);
         json.EndObject();
       }
       json.EndArray();

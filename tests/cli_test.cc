@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <regex>
 #include <set>
@@ -11,11 +12,15 @@
 #include <thread>
 
 #include "cli/cli.h"
+#include "cli/export.h"
 #include "cli/serve.h"
 #include "common/http.h"
+#include "common/metrics.h"
 #include "common/string_util.h"
 #include "core/robustness.h"
 #include "iso/allocation.h"
+#include "mvcc/engine.h"
+#include "mvcc/txn_trace.h"
 #include "oracle/reference_checker.h"
 #include "txn/parser.h"
 
@@ -1028,6 +1033,178 @@ TEST(CliTest, TemplatesAllocates) {
   EXPECT_EQ(result.code, 0) << result.err;
   EXPECT_NE(result.out.find("CheckX=SSI CheckY=SSI"), std::string::npos);
   EXPECT_EQ(RunTool({"templates"}).code, 1);
+}
+
+std::string ReadFileOrEmpty(const std::string& path) {
+  std::ifstream file(path);
+  std::ostringstream body;
+  body << file.rdbuf();
+  return body.str();
+}
+
+// The documented constraint showcase (docs/templates.md, tools/ci.sh).
+constexpr const char* kShowcaseTemplates = R"(version 2
+domain D 3
+Audit(lo:D, hi:D): R[item_$lo..$hi]
+Move(src:D, dst:D): R[item_$src] W[item_$dst]
+constraint Move: src == dst
+)";
+
+// The "DSL in one block" example of docs/templates.md: six function worlds.
+constexpr const char* kOneBlockTemplates = R"(version 2
+domain D 3
+domain B 3
+function owner D B injective
+
+Audit(lo:D, hi:D): R[item_$lo..$hi]
+Move(src:D, dst:D): R[item_$src] W[item_$dst]
+Tag(x:D, y:B): R[cfg_*B] W[label_$y]
+
+constraint Move: src == dst
+constraint Tag: y = owner(x)
+)";
+
+// Write skew under a functional constraint: not {RC, SI}-allocatable, and
+// the witness names the function world it lives in.
+constexpr const char* kSkewTemplates = R"(version 2
+domain D 2
+function f D D
+X(a:D, b:D): R[x_$a] W[y_$b]
+Y(a:D, b:D): R[y_$a] W[x_$b]
+constraint X: b = f(a)
+)";
+
+// Golden files pin `templates` stdout, exit code and witness JSON, and the
+// --trace-out layout. They are regenerated with
+//   MVROB_UPDATE_GOLDEN=1 ./cli_test \
+//     --gtest_filter='CliTemplateGoldenTest.*:CliTest.TraceOutBytesArePinned'
+void CompareGolden(const std::string& name, const std::string& actual) {
+  const std::string path = std::string(MVROB_GOLDEN_DIR) + "/" + name;
+  if (std::getenv("MVROB_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream file(path);
+    ASSERT_TRUE(file.good()) << "cannot write " << path;
+    file << actual;
+    return;
+  }
+  std::ifstream file(path);
+  ASSERT_TRUE(file.good()) << "missing golden file " << path;
+  std::ostringstream expected;
+  expected << file.rdbuf();
+  EXPECT_EQ(expected.str(), actual)
+      << "golden mismatch for " << name
+      << " — regenerate with MVROB_UPDATE_GOLDEN=1 if the change is intended";
+}
+
+void ExpectTemplatesGolden(const std::string& name, const char* templates,
+                           std::vector<std::string> flags) {
+  const std::string json_path =
+      ::testing::TempDir() + "/mvrob_templates_" + name + ".json";
+  std::remove(json_path.c_str());
+  std::vector<std::string> args = {"templates", "--templates", templates,
+                                   "--witness-json", json_path};
+  args.insert(args.end(), flags.begin(), flags.end());
+  CliResult result = RunTool(args);
+  EXPECT_EQ(result.err, "");
+  CompareGolden("templates_" + name + ".txt",
+                StrCat("exit ", result.code, "\n", result.out));
+  CompareGolden("templates_" + name + ".witness.json",
+                ReadFileOrEmpty(json_path));
+  std::remove(json_path.c_str());
+}
+
+TEST(CliTemplateGoldenTest, Showcase) {
+  ExpectTemplatesGolden("showcase", kShowcaseTemplates, {});
+}
+
+TEST(CliTemplateGoldenTest, ShowcaseWithoutConstraints) {
+  ExpectTemplatesGolden("showcase_no_constraints", kShowcaseTemplates,
+                        {"--no-constraints"});
+}
+
+TEST(CliTemplateGoldenTest, OneBlockExplainPromoteValidate) {
+  ExpectTemplatesGolden("one_block", kOneBlockTemplates,
+                        {"--explain", "--promote", "--validate-runs", "3",
+                         "--seed", "7"});
+}
+
+TEST(CliTemplateGoldenTest, RcSiFeasible) {
+  ExpectTemplatesGolden("rcsi_feasible", kOneBlockTemplates, {"--rcsi"});
+}
+
+TEST(CliTemplateGoldenTest, RcSiInfeasibleNamesTheWorld) {
+  ExpectTemplatesGolden("rcsi_infeasible", kSkewTemplates, {"--rcsi"});
+}
+
+uint64_t g_trace_clock_us = 0;
+uint64_t TraceClock() { return g_trace_clock_us += 5; }
+
+// The --trace-out file, with the registry spans' clock-dependent "ts" and
+// "tid" values masked (the tracer's spans run on a fixed clock).
+std::string MaskedTraceOut(const MetricsRegistry& registry,
+                           const TxnTracer* tracer) {
+  const std::string path = ::testing::TempDir() + "/mvrob_trace_pin.json";
+  Status written = ExportMetricsFiles(registry, "", path, tracer);
+  EXPECT_TRUE(written.ok()) << written;
+  std::string trace = ReadFileOrEmpty(path);
+  std::remove(path.c_str());
+  trace = std::regex_replace(trace, std::regex("\"ts\":[0-9]+"), "\"ts\":T");
+  return std::regex_replace(trace, std::regex("\"tid\":[0-9]+"),
+                            "\"tid\":N");
+}
+
+// --trace-out files are pinned byte for byte (up to span timestamps and
+// thread ids): phase spans alone, and phase spans merged with sampled
+// transaction spans.
+TEST(CliTest, TraceOutBytesArePinned) {
+  MetricsRegistry registry;
+  const auto begin = std::chrono::steady_clock::now();
+  registry.RecordSpan("cli.check", begin, begin + std::chrono::microseconds(9));
+  registry.RecordSpan("analyzer.triple_scan", begin,
+                      begin + std::chrono::microseconds(4));
+  CompareGolden("trace_out_spans.json", MaskedTraceOut(registry, nullptr));
+
+  TransactionSet txns = *ParseTransactionSet("T1: R[x] W[x]\nT2: W[x]");
+  TxnTracerOptions options;
+  options.clock_us = &TraceClock;
+  TxnTracer tracer(options);
+  tracer.BeginRun(txns);
+  const uint64_t flow = tracer.StartFlow(0, IsolationLevel::kSI);
+  tracer.BeginAttempt(flow, 1, 0, IsolationLevel::kSI);
+  tracer.OnRead(flow, 0);
+  tracer.EndAttempt(flow, false, AbortReason::kWriteConflict);
+  tracer.BeginAttempt(flow, 2, 0, IsolationLevel::kSI);
+  tracer.OnRead(flow, 0);
+  tracer.OnWrite(flow, 0);
+  tracer.EndAttempt(flow, true, AbortReason::kNone);
+  tracer.EndFlow(flow, true);
+  CompareGolden("trace_out_merged.json", MaskedTraceOut(registry, &tracer));
+}
+
+// `templates` runs its checks with the CLI's CheckOptions: --stats-json
+// records the analyzer and allocation counters, and --threads never
+// changes the output.
+TEST(CliTest, TemplatesHonorThreadsAndStatsJson) {
+  const std::string stats_path =
+      ::testing::TempDir() + "/mvrob_templates_stats.json";
+  std::remove(stats_path.c_str());
+  CliResult one = RunTool({"templates", "--templates", kOneBlockTemplates,
+                           "--explain", "--promote", "--threads", "1"});
+  CliResult four = RunTool({"templates", "--templates", kOneBlockTemplates,
+                            "--explain", "--promote", "--threads", "4",
+                            "--stats-json", stats_path});
+  ASSERT_EQ(one.code, 0) << one.err;
+  ASSERT_EQ(four.code, 0) << four.err;
+  EXPECT_EQ(one.out, four.out);
+
+  const std::string stats = ReadFileOrEmpty(stats_path);
+  std::smatch checks;
+  ASSERT_TRUE(std::regex_search(
+      stats, checks, std::regex("\"analyzer\\.checks\":([0-9]+)")))
+      << stats;
+  EXPECT_GT(std::stoull(checks[1].str()), 0u);
+  EXPECT_NE(stats.find("\"allocation.robustness_checks\""), std::string::npos)
+      << stats;
+  std::remove(stats_path.c_str());
 }
 
 }  // namespace

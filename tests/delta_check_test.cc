@@ -430,10 +430,13 @@ TemplateAllocation LiftedLowering(
   return levels;
 }
 
+// Full checks of `levels` in world order, stopping at the first world
+// that is not robust. Adds one to `*checks` per world checked.
 bool RobustEverywhere(const std::vector<WorldInstantiation>& worlds,
                       const std::vector<std::unique_ptr<Referee>>& referees,
-                      const TemplateAllocation& levels) {
+                      const TemplateAllocation& levels, uint64_t* checks) {
   for (size_t w = 0; w < worlds.size(); ++w) {
+    ++*checks;
     if (!referees[w]
              ->analyzer()
              .Check(InstanceLevels(worlds[w].instantiation, levels))
@@ -464,29 +467,38 @@ TEST(DeltaCheckTemplateTest, LiftedLoopsAgreeWithFullChecks) {
       std::vector<TransactionSet> storage;
       auto referees = WorldReferees(*worlds, {}, threads, &storage);
 
+      CheckOptions options;
+      options.num_threads = threads;
+      const TemplateAnalysis analysis = AnalyzeTemplates(set, {}, options);
+
       uint64_t checks = 0;
       TemplateAllocation optimum = LiftedLowering(
           *worlds, referees, TemplateAllocation(k, IsolationLevel::kSSI),
           &checks);
-      StatusOr<TemplateAllocationResult> lifted =
-          ComputeOptimalTemplateAllocation(set);
-      ASSERT_TRUE(lifted.ok()) << lifted.status();
-      EXPECT_EQ(lifted->levels, optimum);
-      EXPECT_EQ(lifted->robustness_checks, checks);
+      TemplateAllocationResult lifted =
+          ComputeOptimalTemplateAllocation(analysis);
+      EXPECT_EQ(lifted.levels, optimum);
+      EXPECT_EQ(lifted.robustness_checks, checks);
 
+      // The RcSi box: its top, all-SI, is checked in full first.
       TemplateAllocation all_si(k, IsolationLevel::kSI);
-      StatusOr<RcSiTemplateAllocationResult> rcsi =
-          ComputeOptimalRcSiTemplateAllocation(set);
+      StatusOr<TemplateAllocationResult> rcsi =
+          ComputeOptimalTemplateAllocation(analysis,
+                                           AllocationBounds::RcSi(k));
       ASSERT_TRUE(rcsi.ok()) << rcsi.status();
-      ASSERT_EQ(rcsi->allocatable, RobustEverywhere(*worlds, referees, all_si));
-      if (rcsi->allocatable) {
-        EXPECT_EQ(*rcsi->levels,
+      checks = 0;
+      ASSERT_EQ(rcsi->feasible,
+                RobustEverywhere(*worlds, referees, all_si, &checks));
+      if (rcsi->feasible) {
+        EXPECT_EQ(rcsi->levels,
                   LiftedLowering(*worlds, referees, all_si, &checks));
       }
+      EXPECT_EQ(rcsi->robustness_checks, checks);
 
       // The promotion search: its baseline is the lifted optimum, and its
       // final levels are the lifted optimum of the promoted worlds.
-      StatusOr<TemplatePromotionPlan> plan = OptimizeTemplatePromotions(set);
+      StatusOr<TemplatePromotionPlan> plan =
+          OptimizeTemplatePromotions(analysis);
       ASSERT_TRUE(plan.ok()) << plan.status();
       EXPECT_EQ(plan->before_levels, optimum);
       std::vector<TransactionSet> promoted_storage;

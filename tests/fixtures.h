@@ -10,12 +10,15 @@
 
 #include <cassert>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <utility>
 #include <vector>
 
 #include "core/analyzer.h"
 #include "core/optimal_allocation.h"
 #include "schedule/schedule.h"
+#include "templates/robustness.h"
 #include "txn/parser.h"
 #include "workloads/synthetic.h"
 
@@ -132,6 +135,19 @@ inline StatusOr<OptimalAllocationResult> AllocateWithin(
 // The {RC, SI} optimum of Theorem 5.5: the box [A_RC, A_SI].
 inline OptimalAllocationResult RcSiOptimum(const TransactionSet& txns) {
   return AllocateWithin(txns, AllocationBounds::RcSi(txns.size())).value();
+}
+
+// The template analysis of `set`; the set must instantiate.
+inline TemplateAnalysis AnalyzeTemplates(
+    const TemplateSet& set, const InstantiationOptions& options = {},
+    const CheckOptions& check = {}) {
+  StatusOr<TemplateAnalysis> analysis =
+      TemplateAnalysis::Build(set, options, check);
+  if (!analysis.ok()) {
+    std::fprintf(stderr, "%s\n", analysis.status().ToString().c_str());
+    std::abort();
+  }
+  return std::move(analysis).value();
 }
 
 // The random sets of the analyzer differential tests (delta checks,

@@ -14,6 +14,7 @@
 #include "templates/promote.h"
 #include "templates/robustness.h"
 #include "templates/witness.h"
+#include "fixtures.h"
 
 namespace mvrob {
 namespace {
@@ -148,25 +149,23 @@ TEST(ShowcaseTest, ConstraintBuysAStrictlyCheaperAllocation) {
   // The documented range showcase (docs/templates.md): without the
   // constraint, Move(src != dst) instances form write skew with the
   // range-scanning Audit in the cycle and both templates need SSI.
-  StatusOr<TemplateAllocationResult> baseline =
-      ComputeOptimalTemplateAllocation(ConstraintShowcaseTemplates(false));
-  ASSERT_TRUE(baseline.ok()) << baseline.status();
-  for (IsolationLevel level : baseline->levels) {
+  TemplateAllocationResult baseline = ComputeOptimalTemplateAllocation(
+      AnalyzeTemplates(ConstraintShowcaseTemplates(false)));
+  for (IsolationLevel level : baseline.levels) {
     EXPECT_EQ(level, IsolationLevel::kSSI);
   }
   // Declaring `constraint Move: src == dst` turns every Move into a
   // same-key read-modify-write and all-SI becomes robust.
-  StatusOr<TemplateAllocationResult> constrained =
-      ComputeOptimalTemplateAllocation(ConstraintShowcaseTemplates(true));
-  ASSERT_TRUE(constrained.ok()) << constrained.status();
-  for (IsolationLevel level : constrained->levels) {
+  TemplateAllocationResult constrained = ComputeOptimalTemplateAllocation(
+      AnalyzeTemplates(ConstraintShowcaseTemplates(true)));
+  for (IsolationLevel level : constrained.levels) {
     EXPECT_EQ(level, IsolationLevel::kSI);
   }
 }
 
 TEST(TemplatePromotionTest, PromotingTheScanReachesRc) {
-  StatusOr<TemplatePromotionPlan> plan =
-      OptimizeTemplatePromotions(ConstraintShowcaseTemplates(true));
+  StatusOr<TemplatePromotionPlan> plan = OptimizeTemplatePromotions(
+      AnalyzeTemplates(ConstraintShowcaseTemplates(true)));
   ASSERT_TRUE(plan.ok()) << plan.status();
   EXPECT_TRUE(plan->improved);
   EXPECT_LT(plan->after_cost.weighted, plan->before_cost.weighted);
@@ -189,17 +188,14 @@ TEST(TemplateWitnessTest, JsonNamesTheDischargingConstraint) {
     constraint Fix: x == y
   )");
   ASSERT_TRUE(set.ok()) << set.status();
-  StatusOr<TemplateAllocationResult> optimal =
-      ComputeOptimalTemplateAllocation(*set);
-  ASSERT_TRUE(optimal.ok()) << optimal.status();
-  StatusOr<TemplateConflictAnalysis> conflicts = AnalyzeTemplateConflicts(*set);
-  ASSERT_TRUE(conflicts.ok()) << conflicts.status();
+  TemplateAnalysis analysis = AnalyzeTemplates(*set);
+  ASSERT_NE(analysis.conflicts(), nullptr);
+  TemplateAllocationResult optimal = ComputeOptimalTemplateAllocation(analysis);
 
   TemplateWitnessInputs inputs;
-  inputs.levels = &optimal->levels;
-  inputs.robustness_checks = optimal->robustness_checks;
-  inputs.conflicts = &*conflicts;
-  std::string json = TemplateWitnessJson(*set, inputs);
+  inputs.levels = &optimal.levels;
+  inputs.robustness_checks = optimal.robustness_checks;
+  std::string json = TemplateWitnessJson(analysis, inputs);
   EXPECT_NE(json.find("mvrob-template-witness-v1"), std::string::npos);
   EXPECT_NE(json.find("\"allocation\""), std::string::npos);
   EXPECT_NE(json.find("\"conflicts\""), std::string::npos);
@@ -209,12 +205,11 @@ TEST(TemplateWitnessTest, JsonNamesTheDischargingConstraint) {
 }
 
 TEST(TemplateWitnessTest, JsonCarriesPromotionAndCheckSections) {
-  TemplateSet showcase = ConstraintShowcaseTemplates(true);
+  TemplateAnalysis showcase = AnalyzeTemplates(ConstraintShowcaseTemplates(true));
   StatusOr<TemplatePromotionPlan> plan = OptimizeTemplatePromotions(showcase);
   ASSERT_TRUE(plan.ok()) << plan.status();
-  TemplateAllocation all_rc(showcase.size(), IsolationLevel::kRC);
-  StatusOr<TemplateRobustnessResult> check =
-      CheckTemplateRobustness(showcase, all_rc);
+  TemplateAllocation all_rc(showcase.num_templates(), IsolationLevel::kRC);
+  StatusOr<TemplateRobustnessResult> check = showcase.Check(all_rc);
   ASSERT_TRUE(check.ok()) << check.status();
   ASSERT_FALSE(check->robust);
 
@@ -374,8 +369,9 @@ TEST(TemplatePropertyTest, VerdictMatchesBruteForceOnRandomSets) {
 
     TemplateAllocation levels(set->size());
     for (IsolationLevel& level : levels) level = RandomLevel(rng);
-    StatusOr<TemplateRobustnessResult> verdict =
-        CheckTemplateRobustness(*set, levels, options);
+    StatusOr<TemplateAnalysis> lifted = TemplateAnalysis::Build(*set, options);
+    ASSERT_TRUE(lifted.ok()) << lifted.status() << "\n" << set->ToString();
+    StatusOr<TemplateRobustnessResult> verdict = lifted->Check(levels);
     ASSERT_TRUE(verdict.ok()) << verdict.status() << "\n" << set->ToString();
 
     bool reference_robust = true;
@@ -422,16 +418,15 @@ TEST(TemplatePropertyTest, LibrarySetsAgreeWithBruteForce) {
   sets.push_back(ConstraintShowcaseTemplates(false));
   sets.push_back(SmallBankTemplates());
   for (const TemplateSet& set : sets) {
-    StatusOr<TemplateAllocationResult> optimal =
-        ComputeOptimalTemplateAllocation(set);
-    ASSERT_TRUE(optimal.ok()) << optimal.status();
+    TemplateAllocationResult optimal =
+        ComputeOptimalTemplateAllocation(AnalyzeTemplates(set));
     StatusOr<std::vector<WorldInstantiation>> worlds =
         InstantiateAllWorlds(set);
     ASSERT_TRUE(worlds.ok()) << worlds.status();
     for (const WorldInstantiation& world : *worlds) {
       std::vector<IsolationLevel> instance_levels;
       for (int tmpl : world.instantiation.template_of_txn) {
-        instance_levels.push_back(optimal->levels[static_cast<size_t>(tmpl)]);
+        instance_levels.push_back(optimal.levels[static_cast<size_t>(tmpl)]);
       }
       RobustnessAnalyzer reference(world.instantiation.txns);
       EXPECT_TRUE(reference.Check(Allocation(std::move(instance_levels))).robust)

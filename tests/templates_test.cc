@@ -4,6 +4,7 @@
 #include "templates/library.h"
 #include "templates/parser.h"
 #include "templates/robustness.h"
+#include "fixtures.h"
 
 namespace mvrob {
 namespace {
@@ -127,94 +128,109 @@ TEST(TemplateRobustnessTest, WriteSkewTemplates) {
     CheckY(n:N): R[y_$n] W[x_$n]
   )");
   ASSERT_TRUE(set.ok());
-  StatusOr<TemplateRobustnessResult> si = CheckTemplateRobustness(
-      *set, {IsolationLevel::kSI, IsolationLevel::kSI});
+  TemplateAnalysis analysis = AnalyzeTemplates(*set);
+  StatusOr<TemplateRobustnessResult> si =
+      analysis.Check({IsolationLevel::kSI, IsolationLevel::kSI});
   ASSERT_TRUE(si.ok());
   EXPECT_FALSE(si->robust);
   ASSERT_TRUE(si->counterexample.has_value());
-  StatusOr<TemplateRobustnessResult> ssi = CheckTemplateRobustness(
-      *set, {IsolationLevel::kSSI, IsolationLevel::kSSI});
+  StatusOr<TemplateRobustnessResult> ssi =
+      analysis.Check({IsolationLevel::kSSI, IsolationLevel::kSSI});
   ASSERT_TRUE(ssi.ok());
   EXPECT_TRUE(ssi->robust);
 }
 
 TEST(TemplateRobustnessTest, RejectsWrongAllocationSize) {
-  TemplateSet bank = SmallBankTemplates();
-  EXPECT_FALSE(
-      CheckTemplateRobustness(bank, {IsolationLevel::kSI}).ok());
+  TemplateAnalysis bank = AnalyzeTemplates(SmallBankTemplates());
+  EXPECT_FALSE(bank.Check({IsolationLevel::kSI}).ok());
+  TemplateAllocation all_ssi(bank.num_templates(), IsolationLevel::kSSI);
+  TemplateAllocation short_base{IsolationLevel::kSSI};
+  EXPECT_FALSE(bank.Check(all_ssi, &short_base).ok());
 }
 
 TEST(TemplateRobustnessTest, TpccFolkloreAtTemplateGranularity) {
-  TemplateSet tpcc = TpccTemplates();
-  TemplateAllocation all_si(tpcc.size(), IsolationLevel::kSI);
-  TemplateAllocation all_rc(tpcc.size(), IsolationLevel::kRC);
-  StatusOr<TemplateRobustnessResult> si =
-      CheckTemplateRobustness(tpcc, all_si);
+  TemplateAnalysis tpcc = AnalyzeTemplates(TpccTemplates());
+  TemplateAllocation all_si(tpcc.num_templates(), IsolationLevel::kSI);
+  TemplateAllocation all_rc(tpcc.num_templates(), IsolationLevel::kRC);
+  StatusOr<TemplateRobustnessResult> si = tpcc.Check(all_si);
   ASSERT_TRUE(si.ok()) << si.status();
   EXPECT_TRUE(si->robust);
-  StatusOr<TemplateRobustnessResult> rc =
-      CheckTemplateRobustness(tpcc, all_rc);
+  StatusOr<TemplateRobustnessResult> rc = tpcc.Check(all_rc);
   ASSERT_TRUE(rc.ok());
   EXPECT_FALSE(rc->robust);
 }
 
 TEST(TemplateAllocationTest, TpccOptimumIsAllSi) {
-  TemplateSet tpcc = TpccTemplates();
-  StatusOr<TemplateAllocationResult> result =
-      ComputeOptimalTemplateAllocation(tpcc);
-  ASSERT_TRUE(result.ok()) << result.status();
-  for (IsolationLevel level : result->levels) {
+  TemplateAnalysis tpcc = AnalyzeTemplates(TpccTemplates());
+  TemplateAllocationResult result = ComputeOptimalTemplateAllocation(tpcc);
+  ASSERT_TRUE(result.feasible);
+  for (IsolationLevel level : result.levels) {
     EXPECT_EQ(level, IsolationLevel::kSI);
   }
-  EXPECT_EQ(result->robustness_checks, 2 * tpcc.size());
+  EXPECT_EQ(result.robustness_checks, 2 * tpcc.num_templates());
 }
 
 TEST(TemplateAllocationTest, SmallBankNeedsSsi) {
   TemplateSet bank = SmallBankTemplates();
-  StatusOr<TemplateAllocationResult> result =
-      ComputeOptimalTemplateAllocation(bank);
-  ASSERT_TRUE(result.ok()) << result.status();
+  TemplateAnalysis analysis = AnalyzeTemplates(bank);
+  TemplateAllocationResult result = ComputeOptimalTemplateAllocation(analysis);
   int ssi_count = 0;
-  for (IsolationLevel level : result->levels) {
+  for (IsolationLevel level : result.levels) {
     if (level == IsolationLevel::kSSI) ++ssi_count;
   }
   EXPECT_GT(ssi_count, 0);
   // The computed allocation is robust.
-  StatusOr<TemplateRobustnessResult> check =
-      CheckTemplateRobustness(bank, result->levels);
+  StatusOr<TemplateRobustnessResult> check = analysis.Check(result.levels);
   ASSERT_TRUE(check.ok());
   EXPECT_TRUE(check->robust);
-  std::string text = FormatTemplateAllocation(bank, result->levels);
+  std::string text = FormatTemplateAllocation(bank, result.levels);
   EXPECT_NE(text.find("WriteCheck="), std::string::npos);
 }
 
 TEST(TemplateAllocationTest, AuctionMixesLevels) {
   TemplateSet auction = AuctionTemplates();
-  StatusOr<TemplateAllocationResult> result =
-      ComputeOptimalTemplateAllocation(auction);
-  ASSERT_TRUE(result.ok()) << result.status();
+  TemplateAllocationResult result =
+      ComputeOptimalTemplateAllocation(AnalyzeTemplates(auction));
   int get_high_bid = auction.FindTemplate("GetHighBid");
   int place_bid = auction.FindTemplate("PlaceBid");
   int edit = auction.FindTemplate("EditListing");
   ASSERT_GE(get_high_bid, 0);
-  EXPECT_EQ(result->levels[get_high_bid], IsolationLevel::kRC);
-  EXPECT_EQ(result->levels[place_bid], IsolationLevel::kSSI);
-  EXPECT_EQ(result->levels[edit], IsolationLevel::kSI);
+  EXPECT_EQ(result.levels[get_high_bid], IsolationLevel::kRC);
+  EXPECT_EQ(result.levels[place_bid], IsolationLevel::kSSI);
+  EXPECT_EQ(result.levels[edit], IsolationLevel::kSI);
+}
+
+TEST(TemplateAllocationTest, BoundsAreValidatedPerTemplate) {
+  TemplateAnalysis tpcc = AnalyzeTemplates(TpccTemplates());
+  const size_t k = tpcc.num_templates();
+  EXPECT_FALSE(
+      ComputeOptimalTemplateAllocation(tpcc, AllocationBounds::Free(k + 1))
+          .ok());
+  StatusOr<TemplateAllocationResult> empty = ComputeOptimalTemplateAllocation(
+      tpcc, AllocationBounds::RcSi(k).AtLeast(0, IsolationLevel::kSSI));
+  ASSERT_FALSE(empty.ok());
+  EXPECT_NE(std::string(empty.status().message())
+                .find(tpcc.set().tmpl(0).name()),
+            std::string::npos)
+      << empty.status();
 }
 
 TEST(TemplateRcSiTest, TpccIsAllocatableSmallBankIsNot) {
-  StatusOr<RcSiTemplateAllocationResult> tpcc =
-      ComputeOptimalRcSiTemplateAllocation(TpccTemplates());
+  TemplateAnalysis tpcc_analysis = AnalyzeTemplates(TpccTemplates());
+  StatusOr<TemplateAllocationResult> tpcc = ComputeOptimalTemplateAllocation(
+      tpcc_analysis, AllocationBounds::RcSi(tpcc_analysis.num_templates()));
   ASSERT_TRUE(tpcc.ok()) << tpcc.status();
-  EXPECT_TRUE(tpcc->allocatable);
-  for (IsolationLevel level : *tpcc->levels) {
+  EXPECT_TRUE(tpcc->feasible);
+  for (IsolationLevel level : tpcc->levels) {
     EXPECT_EQ(level, IsolationLevel::kSI);  // Everything stays at SI.
   }
 
-  StatusOr<RcSiTemplateAllocationResult> bank =
-      ComputeOptimalRcSiTemplateAllocation(SmallBankTemplates());
+  TemplateAnalysis bank_analysis = AnalyzeTemplates(SmallBankTemplates());
+  StatusOr<TemplateAllocationResult> bank = ComputeOptimalTemplateAllocation(
+      bank_analysis, AllocationBounds::RcSi(bank_analysis.num_templates()));
   ASSERT_TRUE(bank.ok());
-  EXPECT_FALSE(bank->allocatable);
+  EXPECT_FALSE(bank->feasible);
+  EXPECT_TRUE(bank->levels.empty());
   ASSERT_TRUE(bank->counterexample.has_value());
 }
 
@@ -225,11 +241,11 @@ TEST(TemplateRcSiTest, RcOnlyWorkloadDropsToRc) {
     Insert(n:N): W[fresh_$n]
   )");
   ASSERT_TRUE(set.ok());
-  StatusOr<RcSiTemplateAllocationResult> result =
-      ComputeOptimalRcSiTemplateAllocation(*set);
+  StatusOr<TemplateAllocationResult> result = ComputeOptimalTemplateAllocation(
+      AnalyzeTemplates(*set), AllocationBounds::RcSi(set->size()));
   ASSERT_TRUE(result.ok());
-  ASSERT_TRUE(result->allocatable);
-  for (IsolationLevel level : *result->levels) {
+  ASSERT_TRUE(result->feasible);
+  for (IsolationLevel level : result->levels) {
     EXPECT_EQ(level, IsolationLevel::kRC);
   }
 }
@@ -246,36 +262,31 @@ TEST(TemplateSaturationTest, AnswersStableUnderLargerInstantiation) {
   cases.push_back({AuctionTemplates(1, 2), AuctionTemplates(2, 3)});
 
   for (Case& c : cases) {
-    StatusOr<TemplateAllocationResult> base =
-        ComputeOptimalTemplateAllocation(c.set);
-    StatusOr<TemplateAllocationResult> grown =
-        ComputeOptimalTemplateAllocation(c.larger);
-    ASSERT_TRUE(base.ok());
-    ASSERT_TRUE(grown.ok());
-    EXPECT_EQ(base->levels, grown->levels);
+    TemplateAllocationResult base =
+        ComputeOptimalTemplateAllocation(AnalyzeTemplates(c.set));
+    TemplateAllocationResult grown =
+        ComputeOptimalTemplateAllocation(AnalyzeTemplates(c.larger));
+    EXPECT_EQ(base.levels, grown.levels);
 
     InstantiationOptions more_copies;
     more_copies.copies_per_assignment = 3;
-    StatusOr<TemplateAllocationResult> copied =
-        ComputeOptimalTemplateAllocation(c.set, more_copies);
-    ASSERT_TRUE(copied.ok());
-    EXPECT_EQ(base->levels, copied->levels);
+    TemplateAllocationResult copied = ComputeOptimalTemplateAllocation(
+        AnalyzeTemplates(c.set, more_copies));
+    EXPECT_EQ(base.levels, copied.levels);
   }
 }
 
 TEST(TemplateExplainTest, SmallBankObstaclesNameTheAnomalies) {
-  TemplateSet bank = SmallBankTemplates();
-  StatusOr<TemplateAllocationResult> optimal =
-      ComputeOptimalTemplateAllocation(bank);
-  ASSERT_TRUE(optimal.ok());
+  TemplateAnalysis bank = AnalyzeTemplates(SmallBankTemplates());
+  TemplateAllocationResult optimal = ComputeOptimalTemplateAllocation(bank);
   StatusOr<TemplateExplanation> explanation =
-      ExplainTemplateAllocation(bank, optimal->levels);
+      ExplainTemplateAllocation(bank, optimal.levels);
   ASSERT_TRUE(explanation.ok()) << explanation.status();
   // Optimal: every template above RC has an obstacle per lower level.
   for (const TemplateObstacle& entry : explanation->per_template) {
     size_t below = static_cast<size_t>(entry.assigned);
     EXPECT_EQ(entry.obstacles.size(), below)
-        << bank.tmpl(entry.tmpl).name();
+        << bank.set().tmpl(entry.tmpl).name();
   }
   std::string text = explanation->ToString(bank);
   EXPECT_NE(text.find("WriteCheck = SSI"), std::string::npos);
@@ -283,14 +294,13 @@ TEST(TemplateExplainTest, SmallBankObstaclesNameTheAnomalies) {
 }
 
 TEST(TemplateExplainTest, RejectsNonRobustAllocation) {
-  TemplateSet bank = SmallBankTemplates();
-  TemplateAllocation all_si(bank.size(), IsolationLevel::kSI);
+  TemplateAnalysis bank = AnalyzeTemplates(SmallBankTemplates());
+  TemplateAllocation all_si(bank.num_templates(), IsolationLevel::kSI);
   StatusOr<TemplateExplanation> explanation =
       ExplainTemplateAllocation(bank, all_si);
   EXPECT_FALSE(explanation.ok());
   EXPECT_EQ(explanation.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_FALSE(
-      ExplainTemplateAllocation(bank, TemplateAllocation{}).ok());
+  EXPECT_FALSE(ExplainTemplateAllocation(bank, TemplateAllocation{}).ok());
 }
 
 TEST(TemplateSetTest, ToStringRoundTrips) {

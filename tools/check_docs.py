@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs gate: keep the documentation true.
 
-Three checks, all against the real tree and the real binary:
+Four checks, all against the real tree and the real binary:
 
   1. flags    — every `--flag` token mentioned in docs/cli.md must appear
                 in `mvrob --help` (docs cannot advertise flags that do
@@ -13,6 +13,9 @@ Three checks, all against the real tree and the real binary:
                 ```text block immediately follows, every line of it must
                 appear in the actual output, in order. The tutorial's
                 output blocks are real output by construction.
+  4. templates — every fenced block of docs/templates.md whose first line
+                starts with `version` is a template set, and must exit 0
+                under `mvrob templates --templates @file`.
 
 Usage: tools/check_docs.py [path/to/mvrob]   (default build/tools/mvrob)
 Exit 0 when all checks pass, 1 otherwise.
@@ -79,10 +82,10 @@ def check_links():
     print(f"ok links: {checked} relative links resolve")
 
 
-def tutorial_blocks():
-    """Yield (sh_lines, expected_text_lines_or_None) pairs."""
-    lines = open(os.path.join(REPO, "docs", "tutorial.md")).read().splitlines()
-    blocks = []  # (lang, [lines])
+def fenced_blocks(doc):
+    """The (lang, [lines]) fenced blocks of docs/<doc>, in order."""
+    lines = open(os.path.join(REPO, "docs", doc)).read().splitlines()
+    blocks = []
     i = 0
     while i < len(lines):
         m = FENCE_RE.match(lines[i])
@@ -94,6 +97,12 @@ def tutorial_blocks():
                 i += 1
             blocks.append((lang, body))
         i += 1
+    return blocks
+
+
+def tutorial_blocks():
+    """Yield (sh_lines, expected_text_lines_or_None) pairs."""
+    blocks = fenced_blocks("tutorial.md")
     for j, (lang, body) in enumerate(blocks):
         if lang != "sh":
             continue
@@ -138,6 +147,27 @@ def check_tutorial(mvrob):
     print(f"ok tutorial: {ran} command blocks re-run against docs/tutorial.md")
 
 
+def check_template_blocks(mvrob):
+    workdir = tempfile.mkdtemp(prefix="mvrob-docs-tpl-")
+    ran = 0
+    for j, (_, body) in enumerate(fenced_blocks("templates.md")):
+        if not body or not body[0].startswith("version"):
+            continue
+        path = os.path.join(workdir, f"block{j}.tpl")
+        with open(path, "w") as f:
+            f.write("\n".join(body) + "\n")
+        proc = subprocess.run(
+            [mvrob, "templates", "--templates", "@" + path],
+            capture_output=True, text=True,
+        )
+        ran += 1
+        if proc.returncode != 0:
+            fail(f"templates: docs/templates.md block starting "
+                 f"{body[1] if len(body) > 1 else body[0]!r} exited "
+                 f"{proc.returncode}: {proc.stderr.strip()[:200]}")
+    print(f"ok templates: {ran} template blocks of docs/templates.md run")
+
+
 def main():
     mvrob = sys.argv[1] if len(sys.argv) > 1 else os.path.join(
         REPO, "build", "tools", "mvrob")
@@ -147,6 +177,7 @@ def main():
     check_flags(mvrob)
     check_links()
     check_tutorial(mvrob)
+    check_template_blocks(mvrob)
     if failures:
         print(f"docs gate: {len(failures)} failure(s)")
         return 1

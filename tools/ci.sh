@@ -476,6 +476,24 @@ if [[ -n "$REFERENCE_LEAKS" ]]; then
 fi
 echo "reference-checker guard OK"
 
+echo "==== template-analysis guard ===="
+# The template layer instantiates its worlds and computes the refined
+# conflict relation once per command, in TemplateAnalysis::Build
+# (src/templates/robustness.cc): that is the one production call site of
+# InstantiateAllWorlds and of AnalyzeTemplateConflicts.
+for fn in InstantiateAllWorlds AnalyzeTemplateConflicts; do
+  CALLS="$(grep -rnE "\b$fn\(" src --include='*.cc' |
+    grep -vE '^src/templates/(instantiate|predicate)\.cc:' || true)"
+  if [[ "$(printf '%s\n' "$CALLS" | grep -c .)" != 1 ||
+        "$CALLS" != src/templates/robustness.cc:* ]]; then
+    echo "error: $fn must have exactly one production call site," \
+      "TemplateAnalysis::Build; found:" >&2
+    echo "${CALLS:-(none)}" >&2
+    exit 1
+  fi
+done
+echo "template-analysis guard OK"
+
 echo "==== template smoke (predicate reads, constraints, witness JSON) ===="
 # The template subsystem end to end on the documented showcase: the
 # declared constraint must buy a strictly cheaper allocation than the
@@ -529,10 +547,11 @@ print(f"template smoke OK: {len(pairs)} op pairs, "
 PY
 rm -f "$TEMPLATE_TPL" "$TEMPLATE_OUT" "$TEMPLATE_JSON"
 
-echo "==== docs gate (flags + links + tutorial smoke) ===="
+echo "==== docs gate (flags + links + tutorial smoke + template blocks) ===="
 # Documentation must stay true: every flag in docs/cli.md exists in
-# `mvrob --help`, every relative markdown link resolves, and every
-# command block in docs/tutorial.md re-runs with its documented output.
+# `mvrob --help`, every relative markdown link resolves, every
+# command block in docs/tutorial.md re-runs with its documented output,
+# and every template set in docs/templates.md runs through `templates`.
 python3 tools/check_docs.py build/tools/mvrob
 
 echo "==== bench-regression gate ===="
@@ -642,18 +661,20 @@ echo "==== TSan build (MVROB_SANITIZE=thread) ===="
 cmake -B build-tsan -S . -DMVROB_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"$JOBS" --target \
   common_test parallel_differential_test concurrent_engine_test profiler_test \
-  delta_check_test find_all_test mvcc_test cli_test metrics_test
+  delta_check_test find_all_test mvcc_test cli_test metrics_test \
+  templates_test template_predicate_test
 MVROB_POOL_WORKERS=3 TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir build-tsan --output-on-failure -j"$JOBS" \
-  -R 'ThreadPool|ParallelDifferential|ParallelAllocation|IncrementalParallel|Concurrent|DeltaCheck|FindAll|RunWorkload|RcSiComposesWithBounds|BoundedAllocate'
+  -R 'ThreadPool|ParallelDifferential|ParallelAllocation|IncrementalParallel|Concurrent|DeltaCheck|FindAll|RunWorkload|RcSiComposesWithBounds|BoundedAllocate|Template|CliTemplateGolden'
 
 echo "==== ASan build (MVROB_SANITIZE=address) ===="
 cmake -B build-asan -S . -DMVROB_SANITIZE=address >/dev/null
 cmake --build build-asan -j"$JOBS" --target \
   common_test parallel_differential_test core_test delta_check_test \
-  find_all_test mvcc_test concurrent_engine_test cli_test metrics_test
+  find_all_test mvcc_test concurrent_engine_test cli_test metrics_test \
+  templates_test template_predicate_test
 MVROB_POOL_WORKERS=3 \
   ctest --test-dir build-asan --output-on-failure -j"$JOBS" \
-  -R 'DenseBitset|BitMatrix|ThreadPool|ParallelDifferential|Core|Analyzer|DeltaCheck|FindAll|RunWorkload|RcSiComposesWithBounds|BoundedAllocate'
+  -R 'DenseBitset|BitMatrix|ThreadPool|ParallelDifferential|Core|Analyzer|DeltaCheck|FindAll|RunWorkload|RcSiComposesWithBounds|BoundedAllocate|Template|CliTemplateGolden'
 
 echo "==== all CI stages passed ===="
