@@ -123,7 +123,8 @@ common flags:
   --record-trace <file>    Chrome trace_event timeline of the last
                            engine run (simulate)
   --threads <n>            worker threads for robustness checks (check,
-                           allocate, report, templates; default 1,
+                           allocate, report, promote, templates,
+                           simulate, validate, shell, serve; default 1,
                            0 = all cores)
   --stats-json <file>      write a metrics snapshot (counters, gauges,
                            histograms) as JSON after the command (under
@@ -590,10 +591,17 @@ int CmdAllocate(const Flags& flags, std::ostream& out, std::ostream& err,
     return 0;
   }
 
-  if (flags.Has("witness-json") || flags.Has("witness-dot")) {
-    StatusOr<AllocationExplanation> explanation =
+  // One explanation serves --witness-json/-dot and the --explain text.
+  const bool witness = flags.Has("witness-json") || flags.Has("witness-dot");
+  const bool explain = flags.Has("explain") && !flags.Has("json");
+  std::optional<AllocationExplanation> explanation;
+  if (witness || explain) {
+    StatusOr<AllocationExplanation> explained =
         ExplainAllocation(*txns, result.allocation, *options);
-    if (!explanation.ok()) return Fail(err, explanation.status());
+    if (!explained.ok()) return Fail(err, explained.status());
+    explanation = *std::move(explained);
+  }
+  if (witness) {
     Status witness_out = EmitAllocationWitness(flags, *txns, *explanation, out);
     if (!witness_out.ok()) return Fail(err, witness_out);
   }
@@ -617,12 +625,7 @@ int CmdAllocate(const Flags& flags, std::ostream& out, std::ostream& err,
   out << "levels: RC=" << result.allocation.CountAt(IsolationLevel::kRC)
       << " SI=" << result.allocation.CountAt(IsolationLevel::kSI)
       << " SSI=" << result.allocation.CountAt(IsolationLevel::kSSI) << "\n";
-  if (flags.Has("explain")) {
-    StatusOr<AllocationExplanation> explanation =
-        ExplainAllocation(*txns, result.allocation, *options);
-    if (!explanation.ok()) return Fail(err, explanation.status());
-    out << explanation->ToString(*txns);
-  }
+  if (explain) out << explanation->ToString(*txns);
   return 0;
 }
 
@@ -717,6 +720,7 @@ int CmdTemplates(const Flags& flags, std::ostream& out, std::ostream& err,
   const TemplateAllocationResult& result = *allocation;
 
   TemplateWitnessInputs witness;
+  witness.robustness_checks = result.robustness_checks;
   if (result.feasible) witness.levels = &result.levels;
   if (!result.feasible) {  // Only the RcSi box can be infeasible.
     out << "NOT robustly {RC, SI}-allocatable at template granularity.\n"
@@ -729,8 +733,6 @@ int CmdTemplates(const Flags& flags, std::ostream& out, std::ostream& err,
     out << "optimal {RC, SI} per-program allocation: "
         << FormatTemplateAllocation(set, result.levels) << "\n";
   } else {
-    witness.worlds = analysis->num_worlds();
-    witness.robustness_checks = result.robustness_checks;
     out << "optimal per-program allocation: "
         << FormatTemplateAllocation(set, result.levels) << "\n";
     if (analysis->num_worlds() > 1) {
@@ -918,6 +920,8 @@ int CmdSimulate(const Flags& flags, std::ostream& out, std::ostream& err,
   if (!seed.ok()) return Fail(err, seed.status());
   StatusOr<EngineFlags> engine = LoadEngineFlags(flags);
   if (!engine.ok()) return Fail(err, engine.status());
+  StatusOr<CheckOptions> check = LoadCheckOptions(flags, metrics);
+  if (!check.ok()) return Fail(err, check.status());
 
   out << "simulating " << *runs << " executions of " << txns->size()
       << " transactions under " << alloc->ToString(*txns);
@@ -967,7 +971,7 @@ int CmdSimulate(const Flags& flags, std::ostream& out, std::ostream& err,
   for (const auto& [kind, count] : anomaly_counts) {
     out << "anomaly '" << kind << "': " << count << " occurrence(s)\n";
   }
-  bool robust = CheckRobustness(*txns, *alloc, CheckOptions{}).robust;
+  bool robust = CheckRobustness(*txns, *alloc, *check).robust;
   out << "(Algorithm 1 verdict for this allocation: "
       << (robust ? "robust - anomalies are impossible"
                  : "NOT robust - anomalies are possible")
@@ -1037,10 +1041,10 @@ int CmdValidate(const Flags& flags, std::ostream& out, std::ostream& err,
 //   quit
 int CmdShell(const Flags& flags, std::istream& in, std::ostream& out,
              std::ostream& err, MetricsRegistry* metrics) {
+  StatusOr<CheckOptions> check = LoadCheckOptions(flags, metrics);
+  if (!check.ok()) return Fail(err, check.status());
   IncrementalAllocator allocator;
-  CheckOptions shell_options;
-  shell_options.metrics = metrics;
-  allocator.set_check_options(shell_options);
+  allocator.set_check_options(*check);
   // With --witness-json / --witness-dot, the witness files are rewritten
   // after every successful add/remove, tracking the current optimum's
   // provenance across the interactive session.
@@ -1048,7 +1052,7 @@ int CmdShell(const Flags& flags, std::istream& in, std::ostream& out,
     if (!flags.Has("witness-json") && !flags.Has("witness-dot")) return;
     if (allocator.txns().empty()) return;
     StatusOr<AllocationExplanation> explanation =
-        ExplainAllocation(allocator.txns(), allocator.allocation());
+        ExplainAllocation(allocator.txns(), allocator.allocation(), *check);
     if (!explanation.ok()) {
       err << "error: " << explanation.status().ToString() << "\n";
       return;

@@ -2,14 +2,21 @@
 
 #include "common/string_util.h"
 #include "core/analyzer.h"
+#include "core/split_schedule.h"
 
 namespace mvrob {
 
 std::vector<TxnId> CounterexampleChain::ChainTxns() const {
-  std::vector<TxnId> chain{t1, t2};
-  chain.insert(chain.end(), inner.begin(), inner.end());
-  if (tm != t2) chain.push_back(tm);
+  std::vector<TxnId> chain = MiddleTxns();
+  chain.insert(chain.begin(), t1);
   return chain;
+}
+
+std::vector<TxnId> CounterexampleChain::MiddleTxns() const {
+  std::vector<TxnId> middle{t2};
+  middle.insert(middle.end(), inner.begin(), inner.end());
+  if (tm != t2) middle.push_back(tm);
+  return middle;
 }
 
 std::string CounterexampleChain::ToString(const TransactionSet& txns) const {
@@ -21,28 +28,6 @@ std::string CounterexampleChain::ToString(const TransactionSet& txns) const {
                 txns.FormatOp(bm), "->", txns.FormatOp(a1));
 }
 
-namespace {
-
-// Algorithm 1's ww-conflict-free(b1, T1, T2, Tm): no write of T1 that lies
-// in prefix_{b1}(T1) — or anywhere in T1 when A(T1) is SI or SSI — is
-// ww-conflicting with a write of T2 or Tm (Definition 3.1 (2) and (3)).
-bool WwConflictFree(const TransactionSet& txns, const Allocation& alloc,
-                    OpRef b1, TxnId t2, TxnId tm) {
-  const Transaction& txn1 = txns.txn(b1.txn);
-  bool whole_txn = alloc.level(b1.txn) != IsolationLevel::kRC;
-  for (int i = 0; i < txn1.num_ops(); ++i) {
-    const Operation& c1 = txn1.op(i);
-    if (!c1.IsWrite()) continue;
-    if (!whole_txn && i > b1.index) continue;
-    if (txns.txn(t2).Writes(c1.object) || txns.txn(tm).Writes(c1.object)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
 namespace internal {
 
 bool FindChainOperations(const TransactionSet& txns, const Allocation& alloc,
@@ -51,27 +36,23 @@ bool FindChainOperations(const TransactionSet& txns, const Allocation& alloc,
   const Transaction& txn1 = txns.txn(t1);
   const Transaction& txn2 = txns.txn(t2);
   const Transaction& txnm = txns.txn(tm);
-  bool t1_is_rc = alloc.level(t1) == IsolationLevel::kRC;
+  const IsolationLevel t1_level = alloc.level(t1);
 
   for (int i1 = 0; i1 < txn1.num_ops(); ++i1) {
     const Operation& op_b1 = txn1.op(i1);
     // Definition 3.1 (4): b1 must be rw-conflicting with a write a2 of T2.
     if (!op_b1.IsRead() || !txn2.Writes(op_b1.object)) continue;
     OpRef b1{t1, i1};
-    if (!WwConflictFree(txns, alloc, b1, t2, tm)) continue;
+    // (2)/(3): T1's writes stay clear of those of T2 and Tm.
+    if (!SplitWwConflictFree(txns, t1_level, b1, t2, tm)) continue;
     OpRef a2{t2, *txn2.FirstWriteIndex(op_b1.object)};
 
-    // Definition 3.1 (5): bm conflicts with a1, and either rw-conflicting
-    // or (A(T1) = RC and b1 <_T1 a1).
+    // (5): bm conflicts with a1, rw-conflicting or the RC split case.
     for (int j1 = 0; j1 < txn1.num_ops(); ++j1) {
       const Operation& op_a1 = txn1.op(j1);
       if (op_a1.IsCommit()) continue;
       for (int jm = 0; jm < txnm.num_ops(); ++jm) {
-        const Operation& op_bm = txnm.op(jm);
-        if (!Conflicting(op_bm, op_a1)) continue;
-        bool rw = RwConflicting(op_bm, op_a1);
-        bool rc_case = t1_is_rc && i1 < j1;
-        if (!rw && !rc_case) continue;
+        if (!ClosesSplit(txnm.op(jm), op_a1, t1_level, i1, j1)) continue;
         chain->t1 = t1;
         chain->t2 = t2;
         chain->tm = tm;

@@ -37,6 +37,8 @@ struct CounterexampleChain {
   /// All transactions of the chain in split-schedule order:
   /// t1, t2, inner..., tm (tm omitted when equal to t2).
   std::vector<TxnId> ChainTxns() const;
+  /// The middle of the chain: ChainTxns() without t1.
+  std::vector<TxnId> MiddleTxns() const;
 
   std::string ToString(const TransactionSet& txns) const;
 };

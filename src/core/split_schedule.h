@@ -1,26 +1,78 @@
 #ifndef MVROB_CORE_SPLIT_SCHEDULE_H_
 #define MVROB_CORE_SPLIT_SCHEDULE_H_
 
+#include <string>
 #include <vector>
 
 #include "core/robustness.h"
 #include "iso/materialize.h"
+#include "txn/conflict.h"
 
 namespace mvrob {
 
-/// Checks the full set of structural conditions of Definition 3.1
-/// (multiversion split schedule) for a counterexample chain:
-///   - the chain transactions are pairwise distinct (t2 == tm allowed),
-///     consecutive chain members conflict, and the designated operations
-///     have the required kinds;
-///   - (1) T1 does not conflict with any inner transaction;
-///   - (2) no write in prefix_{b1}(T1) ww-conflicts with a write of T2/Tm;
-///   - (3) if A(T1) in {SI, SSI}, the same holds for postfix_{b1}(T1);
-///   - (4) b1 is rw-conflicting with a2;
-///   - (5) bm conflicts with a1, rw-conflicting or the RC split case;
-///   - (6)-(8) the SSI side conditions.
-/// Returns OK iff the chain describes a valid multiversion split schedule
-/// for (txns, alloc).
+/// Definition 3.1 (multiversion split schedule) in one place: conditions
+/// (1)-(8), the chain's edges and the split schedule. Algorithm 1's search
+/// (internal::FindChainOperations), the witness report (core/witness.h)
+/// and the promotion candidates (promote/promotion.h) read them here.
+
+/// Conditions (2) and (3): no write in prefix_{b1}(T1) — or anywhere in T1
+/// when `t1_level` is SI or SSI — ww-conflicts with a write of T2 or Tm.
+bool SplitWwConflictFree(const TransactionSet& txns, IsolationLevel t1_level,
+                         OpRef b1, TxnId t2, TxnId tm);
+
+/// Condition (5): bm conflicts with a1, and is rw-conflicting with it or
+/// the RC split case holds (A(T1) = RC and b1 <_T1 a1).
+inline bool ClosesSplit(const Operation& bm, const Operation& a1,
+                        IsolationLevel t1_level, int b1_index, int a1_index) {
+  return Conflicting(bm, a1) &&
+         ((t1_level == IsolationLevel::kRC && b1_index < a1_index) ||
+          RwConflicting(bm, a1));
+}
+
+/// Conflict mode of the ordered pair (b, a): "rw", "wr", "ww" or "none".
+const char* ConflictKind(const Operation& b, const Operation& a);
+
+/// One checked condition, with how it was discharged. Conditions that do
+/// not apply to the chain's allocation are vacuous (holds = true) with the
+/// reason in `detail`.
+struct WitnessCondition {
+  std::string condition;  // "3.1(1)" ... "3.1(8)".
+  bool holds = true;
+  std::string detail;
+};
+
+/// Conditions (1)-(8) for `chain` under `alloc`, in order. The chain must
+/// pass CheckChainReferences.
+std::vector<WitnessCondition> EvaluateSplitConditions(
+    const TransactionSet& txns, const Allocation& alloc,
+    const CounterexampleChain& chain);
+
+/// One edge of the chain's cycle: operation `b` of `from` conflicts with
+/// operation `a` of `to`.
+struct ChainEdge {
+  TxnId from = kInvalidTxnId;
+  TxnId to = kInvalidTxnId;
+  OpRef b;
+  OpRef a;
+};
+
+/// The chain's edges in cycle order: (b1, a2) of condition (4), the
+/// FindConflictingPair link of each consecutive pair of MiddleTxns() (op_0
+/// refs when the pair does not conflict), and (bm, a1) of condition (5).
+std::vector<ChainEdge> SplitChainEdges(const TransactionSet& txns,
+                                       const CounterexampleChain& chain);
+
+/// The chain's references are sound: its transactions exist, T1 is none
+/// of the others, and b1, a1, a2, bm are operations (not op_0) of T1, T1,
+/// T2 and Tm.
+Status CheckChainReferences(const TransactionSet& txns,
+                            const CounterexampleChain& chain);
+
+/// OK iff the chain describes a valid multiversion split schedule for
+/// (txns, alloc): sound references, pairwise distinct middle transactions
+/// (no inner ones when t2 == tm), a1 and bm not commits, conflicting
+/// middle neighbours, and conditions (1)-(8). A failed condition's message
+/// is its detail tagged "(cond. N)".
 Status ValidateSplitChain(const TransactionSet& txns, const Allocation& alloc,
                           const CounterexampleChain& chain);
 

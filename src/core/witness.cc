@@ -4,21 +4,11 @@
 
 #include "common/json.h"
 #include "common/string_util.h"
-#include "core/conflict.h"
 #include "core/split_schedule.h"
 #include "schedule/dot.h"
-#include "txn/conflict.h"
 
 namespace mvrob {
 namespace {
-
-// Conflict mode of the ordered pair (b, a), for edge labels.
-std::string ConflictKind(const Operation& b, const Operation& a) {
-  if (RwConflicting(b, a)) return "rw";
-  if (WrConflicting(b, a)) return "wr";
-  if (WwConflicting(b, a)) return "ww";
-  return "none";
-}
 
 const char* OpTypeName(const Operation& op) {
   if (op.IsRead()) return "read";
@@ -26,150 +16,43 @@ const char* OpTypeName(const Operation& op) {
   return "commit";
 }
 
-// The middle section of the chain: T2, inner..., Tm (tm omitted when equal
-// to t2).
-std::vector<TxnId> MiddleTxns(const CounterexampleChain& chain) {
-  std::vector<TxnId> middle{chain.t2};
-  middle.insert(middle.end(), chain.inner.begin(), chain.inner.end());
-  if (chain.tm != chain.t2) middle.push_back(chain.tm);
-  return middle;
-}
-
-// Evaluates every Definition 3.1 condition for the chain, mirroring
-// ValidateSplitChain but recording *how* each condition is discharged
-// instead of failing on the first violation.
-std::vector<WitnessCondition> EvaluateConditions(
-    const TransactionSet& txns, const Allocation& alloc,
-    const CounterexampleChain& chain) {
-  std::vector<WitnessCondition> conditions;
-  auto add = [&](std::string id, bool holds, std::string detail) {
-    conditions.push_back({std::move(id), holds, std::move(detail)});
-  };
-  const Transaction& txn1 = txns.txn(chain.t1);
+// Edge `index` of the `count` SplitChainEdges, with its conflict mode and
+// the Definition 3.1 condition it discharges.
+WitnessEdge JustifyEdge(const TransactionSet& txns,
+                        const CounterexampleChain& chain,
+                        const ChainEdge& edge, size_t index, size_t count) {
   auto name = [&](TxnId t) { return txns.txn(t).name(); };
-  auto level = [&](TxnId t) { return alloc.level(t); };
-  bool t1_snapshot = level(chain.t1) != IsolationLevel::kRC;
-
-  // (1) T1 conflicts with no inner transaction.
-  if (chain.inner.empty()) {
-    add("3.1(1)", true, "vacuous: the chain has no inner transactions");
+  auto op = [&](OpRef ref) { return txns.FormatOp(ref); };
+  WitnessEdge justified{edge.from, edge.to, edge.b, edge.a, "none",
+                        "3.1(chain)", ""};
+  if (edge.b.IsOp0()) {
+    justified.detail = StrCat("MISSING conflict between ", name(edge.from),
+                              " and ", name(edge.to));
+    return justified;
+  }
+  justified.conflict = ConflictKind(txns.op(edge.b), txns.op(edge.a));
+  if (index == 0) {
+    justified.condition = "3.1(4)";
+    justified.detail = StrCat(op(edge.b), " reads the object that ",
+                              op(edge.a), " writes; T1 is split after ",
+                              op(edge.b));
+  } else if (index + 1 < count) {
+    justified.detail = StrCat("conflicting quadruple (", name(edge.from), ", ",
+                              op(edge.b), ", ", op(edge.a), ", ",
+                              name(edge.to), ") links the chain");
+  } else if (justified.conflict == "rw") {
+    justified.condition = "3.1(5)";
+    justified.detail = StrCat(op(edge.b),
+                              " closes the cycle with an rw-antidependency "
+                              "into ",
+                              op(edge.a));
   } else {
-    std::vector<std::string> bad;
-    for (TxnId t : chain.inner) {
-      if (TxnsConflict(txns, chain.t1, t)) bad.push_back(name(t));
-    }
-    add("3.1(1)", bad.empty(),
-        bad.empty()
-            ? StrCat(name(chain.t1), " conflicts with none of the ",
-                     chain.inner.size(), " inner transaction(s)")
-            : StrCat(name(chain.t1), " conflicts with inner transaction(s) ",
-                     Join(bad, ", ")));
+    justified.condition = "3.1(5)-rc";
+    justified.detail = StrCat(op(edge.b), " closes the cycle into ",
+                              op(edge.a), " via the RC split case (A(",
+                              name(chain.t1), ") = RC, b1 <_T1 a1)");
   }
-
-  // (2)/(3) ww-conflict-freedom of prefix (RC) or the whole of T1 (SI/SSI)
-  // against the write sets of T2 and Tm.
-  std::vector<std::string> prefix_bad;
-  std::vector<std::string> postfix_bad;
-  for (int i = 0; i < txn1.num_ops(); ++i) {
-    const Operation& c1 = txn1.op(i);
-    if (!c1.IsWrite()) continue;
-    if (!txns.txn(chain.t2).Writes(c1.object) &&
-        !txns.txn(chain.tm).Writes(c1.object)) {
-      continue;
-    }
-    (i <= chain.b1.index ? prefix_bad : postfix_bad)
-        .push_back(txns.FormatOp(OpRef{chain.t1, i}));
-  }
-  add("3.1(2)", prefix_bad.empty(),
-      prefix_bad.empty()
-          ? StrCat("no write in prefix_", txns.FormatOp(chain.b1), "(",
-                   name(chain.t1), ") ww-conflicts with a write of ",
-                   name(chain.t2), " or ", name(chain.tm))
-          : StrCat("prefix write(s) ", Join(prefix_bad, ", "),
-                   " ww-conflict with ", name(chain.t2), " or ",
-                   name(chain.tm)));
-  if (!t1_snapshot) {
-    add("3.1(3)", true,
-        StrCat("vacuous: A(", name(chain.t1), ") = RC"));
-  } else {
-    add("3.1(3)", postfix_bad.empty(),
-        postfix_bad.empty()
-            ? StrCat("A(", name(chain.t1), ") = ",
-                     IsolationLevelToString(level(chain.t1)),
-                     ": the postfix of ", name(chain.t1),
-                     " is also ww-conflict-free with ", name(chain.t2),
-                     " and ", name(chain.tm))
-            : StrCat("postfix write(s) ", Join(postfix_bad, ", "),
-                     " ww-conflict with ", name(chain.t2), " or ",
-                     name(chain.tm)));
-  }
-
-  // (4) b1 rw-conflicting with a2.
-  bool cond4 = RwConflicting(txns.op(chain.b1), txns.op(chain.a2));
-  add("3.1(4)", cond4,
-      StrCat("b1 = ", txns.FormatOp(chain.b1),
-             cond4 ? " is rw-conflicting with a2 = "
-                   : " is NOT rw-conflicting with a2 = ",
-             txns.FormatOp(chain.a2)));
-
-  // (5) bm conflicts with a1: rw-antidependency or the RC split case.
-  bool conflict5 = Conflicting(txns.op(chain.bm), txns.op(chain.a1));
-  bool rw5 = RwConflicting(txns.op(chain.bm), txns.op(chain.a1));
-  bool rc_case = level(chain.t1) == IsolationLevel::kRC &&
-                 chain.b1.index < chain.a1.index;
-  std::string detail5;
-  if (rw5) {
-    detail5 = StrCat("bm = ", txns.FormatOp(chain.bm),
-                     " is rw-conflicting with a1 = ",
-                     txns.FormatOp(chain.a1));
-  } else if (conflict5 && rc_case) {
-    detail5 = StrCat("bm = ", txns.FormatOp(chain.bm), " ",
-                     ConflictKind(txns.op(chain.bm), txns.op(chain.a1)),
-                     "-conflicts with a1 = ", txns.FormatOp(chain.a1),
-                     " and the RC split case applies: A(", name(chain.t1),
-                     ") = RC with b1 <_T1 a1");
-  } else {
-    detail5 = StrCat("bm = ", txns.FormatOp(chain.bm),
-                     " -> a1 = ", txns.FormatOp(chain.a1),
-                     " is neither rw-conflicting nor the RC split case");
-  }
-  add("3.1(5)", conflict5 && (rw5 || rc_case), std::move(detail5));
-
-  // (6)-(8) the SSI side conditions.
-  bool s1 = level(chain.t1) == IsolationLevel::kSSI;
-  bool s2 = level(chain.t2) == IsolationLevel::kSSI;
-  bool sm = level(chain.tm) == IsolationLevel::kSSI;
-  add("3.1(6)", !(s1 && s2 && sm),
-      !(s1 && s2 && sm)
-          ? StrCat("not all of ", name(chain.t1), ", ", name(chain.t2),
-                   ", ", name(chain.tm), " are SSI (",
-                   IsolationLevelToString(level(chain.t1)), "/",
-                   IsolationLevelToString(level(chain.t2)), "/",
-                   IsolationLevelToString(level(chain.tm)), ")")
-          : "T1, T2 and Tm are all SSI");
-  if (s1 && s2) {
-    bool ok = WrConflictFreeTxns(txns, chain.t1, chain.t2);
-    add("3.1(7)", ok,
-        StrCat(name(chain.t1), ok ? " is wr-conflict-free with "
-                                  : " wr-conflicts with ",
-               name(chain.t2), " (both SSI)"));
-  } else {
-    add("3.1(7)", true,
-        StrCat("vacuous: A(", name(chain.t1), ") and A(", name(chain.t2),
-               ") are not both SSI"));
-  }
-  if (s1 && sm) {
-    bool ok = WrConflictFreeTxns(txns, chain.tm, chain.t1);
-    add("3.1(8)", ok,
-        StrCat(name(chain.tm), ok ? " is wr-conflict-free with "
-                                  : " wr-conflicts with ",
-               name(chain.t1), " (both SSI)"));
-  } else {
-    add("3.1(8)", true,
-        StrCat("vacuous: A(", name(chain.t1), ") and A(", name(chain.tm),
-               ") are not both SSI"));
-  }
-  return conditions;
+  return justified;
 }
 
 // Emits one witness report as a JSON object (the value after a Key()).
@@ -299,7 +182,7 @@ void AppendChainToDot(DotGraph& dot, const TransactionSet& txns,
                "box", "style=filled, fillcolor=lightgrey"});
   dot.AddNode({t1_post, label(chain.t1, " postfix"), "box",
                "style=filled, fillcolor=lightgrey"});
-  for (TxnId t : MiddleTxns(chain)) {
+  for (TxnId t : chain.MiddleTxns()) {
     dot.AddNode({node_id(t), label(t, ""), "box"});
   }
   // Program order within the split T1.
@@ -322,21 +205,8 @@ void AppendChainToDot(DotGraph& dot, const TransactionSet& txns,
 StatusOr<WitnessReport> BuildWitnessReport(const TransactionSet& txns,
                                            const Allocation& alloc,
                                            const CounterexampleChain& chain) {
-  if (chain.t1 >= txns.size() || chain.t2 >= txns.size() ||
-      chain.tm >= txns.size() || chain.t1 == chain.t2 ||
-      chain.t1 == chain.tm) {
-    return Status::InvalidArgument("chain references invalid transactions");
-  }
-  for (OpRef ref : {chain.b1, chain.a1, chain.a2, chain.bm}) {
-    if (ref.IsOp0() || !txns.IsValidRef(ref)) {
-      return Status::InvalidArgument("chain operation reference invalid");
-    }
-  }
-  for (TxnId t : chain.inner) {
-    if (t >= txns.size()) {
-      return Status::InvalidArgument("invalid inner transaction");
-    }
-  }
+  Status references = CheckChainReferences(txns, chain);
+  if (!references.ok()) return references;
   if (alloc.size() != txns.size()) {
     return Status::InvalidArgument("allocation size mismatch");
   }
@@ -345,49 +215,12 @@ StatusOr<WitnessReport> BuildWitnessReport(const TransactionSet& txns,
   report.chain = chain;
   report.chain_txns = chain.ChainTxns();
 
-  // Edge 1: b1 -> a2, the rw-antidependency that opens the split
-  // (Definition 3.1 (4)).
-  report.edges.push_back(WitnessEdge{
-      chain.t1, chain.t2, chain.b1, chain.a2,
-      ConflictKind(txns.op(chain.b1), txns.op(chain.a2)), "3.1(4)",
-      StrCat(txns.FormatOp(chain.b1), " reads the object that ",
-             txns.FormatOp(chain.a2), " writes; T1 is split after ",
-             txns.FormatOp(chain.b1))});
-  // Middle edges: consecutive chain members admit conflicting quadruples.
-  std::vector<TxnId> middle = MiddleTxns(chain);
-  for (size_t i = 0; i + 1 < middle.size(); ++i) {
-    auto pair = FindConflictingPair(txns, middle[i], middle[i + 1]);
-    if (pair.has_value()) {
-      report.edges.push_back(WitnessEdge{
-          middle[i], middle[i + 1], pair->first, pair->second,
-          ConflictKind(txns.op(pair->first), txns.op(pair->second)),
-          "3.1(chain)",
-          StrCat("conflicting quadruple (", txns.txn(middle[i]).name(), ", ",
-                 txns.FormatOp(pair->first), ", ",
-                 txns.FormatOp(pair->second), ", ",
-                 txns.txn(middle[i + 1]).name(), ") links the chain")});
-    } else {
-      report.edges.push_back(WitnessEdge{
-          middle[i], middle[i + 1], OpRef::Op0(), OpRef::Op0(), "none",
-          "3.1(chain)",
-          StrCat("MISSING conflict between ", txns.txn(middle[i]).name(),
-                 " and ", txns.txn(middle[i + 1]).name())});
-    }
+  const std::vector<ChainEdge> edges = SplitChainEdges(txns, chain);
+  for (size_t i = 0; i < edges.size(); ++i) {
+    report.edges.push_back(
+        JustifyEdge(txns, chain, edges[i], i, edges.size()));
   }
-  // Closing edge: bm -> a1 (Definition 3.1 (5)).
-  bool rw5 = RwConflicting(txns.op(chain.bm), txns.op(chain.a1));
-  report.edges.push_back(WitnessEdge{
-      chain.tm, chain.t1, chain.bm, chain.a1,
-      ConflictKind(txns.op(chain.bm), txns.op(chain.a1)),
-      rw5 ? "3.1(5)" : "3.1(5)-rc",
-      rw5 ? StrCat(txns.FormatOp(chain.bm),
-                   " closes the cycle with an rw-antidependency into ",
-                   txns.FormatOp(chain.a1))
-          : StrCat(txns.FormatOp(chain.bm), " closes the cycle into ",
-                   txns.FormatOp(chain.a1), " via the RC split case (A(",
-                   txns.txn(chain.t1).name(), ") = RC, b1 <_T1 a1)")});
-
-  report.conditions = EvaluateConditions(txns, alloc, chain);
+  report.conditions = EvaluateSplitConditions(txns, alloc, chain);
   report.split_order = BuildSplitOrder(txns, chain);
   report.prefix_len = chain.b1.index + 1;
   Status verified = VerifyCounterexample(txns, alloc, chain);

@@ -6,6 +6,7 @@
 
 #include "core/explain.h"
 #include "core/robustness.h"
+#include "core/split_schedule.h"
 
 namespace mvrob {
 
@@ -17,7 +18,8 @@ namespace mvrob {
 /// constructive witness (Definition 3.1 / Theorem 3.2), exported by the
 /// CLI as `--witness-json` / `--witness-dot`.
 
-/// One justified edge of a counterexample chain.
+/// One justified edge of a counterexample chain: a ChainEdge
+/// (core/split_schedule.h) with its conflict mode and condition.
 struct WitnessEdge {
   TxnId from = kInvalidTxnId;
   TxnId to = kInvalidTxnId;
@@ -31,21 +33,13 @@ struct WitnessEdge {
   std::string detail;
 };
 
-/// One checked Definition 3.1 condition, with how it was discharged.
-/// Conditions that do not apply to the chain's allocation are reported as
-/// vacuous (holds = true) with the reason in `detail`.
-struct WitnessCondition {
-  std::string condition;  // "3.1(1)" ... "3.1(8)".
-  bool holds = true;
-  std::string detail;
-};
-
 /// Everything the checker knows about why one counterexample chain
 /// witnesses non-robustness.
 struct WitnessReport {
   CounterexampleChain chain;
   /// Chain transactions in split-schedule order with their levels.
   std::vector<TxnId> chain_txns;
+  /// SplitChainEdges and EvaluateSplitConditions, justified.
   std::vector<WitnessEdge> edges;
   std::vector<WitnessCondition> conditions;
   /// The multiversion split schedule, operation by operation
@@ -61,8 +55,8 @@ struct WitnessReport {
 };
 
 /// Builds the provenance report for `chain` against (txns, alloc). Fails
-/// only when the chain is structurally broken (references unknown
-/// transactions/operations); a chain that fails the *semantic*
+/// only when the chain's references are broken (CheckChainReferences) or
+/// the allocation has the wrong size; a chain that fails the *semantic*
 /// Definition 3.1 conditions still yields a report with verified = false.
 StatusOr<WitnessReport> BuildWitnessReport(const TransactionSet& txns,
                                            const Allocation& alloc,

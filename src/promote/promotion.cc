@@ -3,8 +3,7 @@
 #include <algorithm>
 
 #include "common/string_util.h"
-#include "core/conflict.h"
-#include "txn/conflict.h"
+#include "core/split_schedule.h"
 
 namespace mvrob {
 
@@ -103,35 +102,14 @@ PromotionSet AllPromotableReads(const TransactionSet& txns) {
   return all;
 }
 
-namespace {
-
-void AddIfPromotable(const TransactionSet& txns, OpRef ref,
-                     std::vector<OpRef>& out) {
-  if (IsPromotableRead(txns, ref)) out.push_back(ref);
-}
-
-}  // namespace
-
 std::vector<OpRef> CandidatesFromChain(const TransactionSet& txns,
                                        const CounterexampleChain& chain) {
   std::vector<OpRef> candidates;
-  // Opening edge b1 -> a2 is rw by construction (Definition 3.1 (4)).
-  AddIfPromotable(txns, chain.b1, candidates);
-  // Middle edges: the deterministic conflicting pair linking consecutive
-  // chain members, when it happens to be an rw-antidependency.
-  std::vector<TxnId> middle{chain.t2};
-  middle.insert(middle.end(), chain.inner.begin(), chain.inner.end());
-  if (chain.tm != chain.t2) middle.push_back(chain.tm);
-  for (size_t i = 0; i + 1 < middle.size(); ++i) {
-    auto pair = FindConflictingPair(txns, middle[i], middle[i + 1]);
-    if (pair.has_value() &&
-        RwConflicting(txns.op(pair->first), txns.op(pair->second))) {
-      AddIfPromotable(txns, pair->first, candidates);
+  for (const ChainEdge& edge : SplitChainEdges(txns, chain)) {
+    if (IsPromotableRead(txns, edge.b) &&
+        RwConflicting(txns.op(edge.b), txns.op(edge.a))) {
+      candidates.push_back(edge.b);
     }
-  }
-  // Closing edge bm -> a1, when rw (the alternative is the RC split case).
-  if (RwConflicting(txns.op(chain.bm), txns.op(chain.a1))) {
-    AddIfPromotable(txns, chain.bm, candidates);
   }
   std::sort(candidates.begin(), candidates.end());
   candidates.erase(std::unique(candidates.begin(), candidates.end()),

@@ -83,12 +83,9 @@ StatusOr<PromotionRewrite> ApplyPromotions(const TransactionSet& txns,
 /// only reads-before-writes of the same object can still open a split.
 PromotionSet AllPromotableReads(const TransactionSet& txns);
 
-/// The read legs of the rw-antidependency edges of one counterexample
-/// chain — exactly the candidate promotions that can kill this witness.
-/// Edges are derived as in BuildWitnessReport: the opening (b1, a2) edge,
-/// the conflicting pair linking each consecutive middle pair, and the
-/// closing (bm, a1) edge when it is rw. Only promotable reads are
-/// returned, ascending and unique.
+/// The promotable read legs of the rw edges of one counterexample chain
+/// (SplitChainEdges, core/split_schedule.h) — exactly the candidate
+/// promotions that can kill this witness. Ascending and unique.
 std::vector<OpRef> CandidatesFromChain(const TransactionSet& txns,
                                        const CounterexampleChain& chain);
 

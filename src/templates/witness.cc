@@ -53,7 +53,7 @@ std::string TemplateWitnessJson(const TemplateAnalysis& analysis,
   }
   json.EndArray();
   json.Key("worlds");
-  json.Uint(inputs.worlds);
+  json.Uint(analysis.num_worlds());
   json.Key("robustness_checks");
   json.Uint(inputs.robustness_checks);
   if (inputs.levels != nullptr) {

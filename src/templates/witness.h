@@ -15,7 +15,6 @@ namespace mvrob {
 /// duration of the call, and every chain resolves against the analysis.
 struct TemplateWitnessInputs {
   const TemplateAllocation* levels = nullptr;
-  size_t worlds = 1;
   uint64_t robustness_checks = 0;
   /// Per-template lowering obstacles (each names its function world).
   const TemplateExplanation* explanation = nullptr;

@@ -1207,5 +1207,73 @@ TEST(CliTest, TemplatesHonorThreadsAndStatsJson) {
   std::remove(stats_path.c_str());
 }
 
+// The --rcsi box's witness JSON counts the analysis's function worlds and
+// the box's robustness checks, as the free box's does.
+TEST(CliTest, TemplatesRcSiWitnessCountsWorldsAndChecks) {
+  const std::string json_path =
+      ::testing::TempDir() + "/mvrob_templates_rcsi_counts.json";
+  std::remove(json_path.c_str());
+  CliResult result = RunTool({"templates", "--templates", kSkewTemplates,
+                              "--rcsi", "--witness-json", json_path});
+  EXPECT_EQ(result.code, 1) << result.err;
+  const std::string json = ReadFileOrEmpty(json_path);
+  EXPECT_NE(json.find("\"worlds\":4,"), std::string::npos) << json;
+  std::smatch checks;
+  ASSERT_TRUE(std::regex_search(
+      json, checks, std::regex("\"robustness_checks\":([0-9]+)")))
+      << json;
+  EXPECT_GT(std::stoull(checks[1].str()), 0u);
+  std::remove(json_path.c_str());
+}
+
+// `shell` and `simulate` run their robustness checks with the CLI's
+// CheckOptions: --threads reaches the analyzer (pool work in --stats-json)
+// and never changes the output.
+TEST(CliTest, ShellAndSimulateHonorThreads) {
+  const std::string stats_path =
+      ::testing::TempDir() + "/mvrob_threads_stats.json";
+  const std::string witness_path =
+      ::testing::TempDir() + "/mvrob_threads_witness.json";
+  auto shell = [&](const char* threads) {
+    std::istringstream script("add T1: R[x] W[y]\nadd T2: R[y] W[x]\nquit\n");
+    std::ostringstream out;
+    std::ostringstream err;
+    int code = RunCli({"shell", "--threads", threads, "--witness-json",
+                       witness_path, "--stats-json", stats_path},
+                      script, out, err);
+    EXPECT_EQ(code, 0) << err.str();
+    return out.str();
+  };
+  auto simulate = [&](const char* threads) {
+    CliResult result =
+        RunTool({"simulate", "--txns", kWriteSkew, "--runs", "3", "--seed",
+                 "5", "--threads", threads, "--stats-json", stats_path});
+    EXPECT_EQ(result.code, 0) << result.err;
+    return result.out;
+  };
+  auto expect_threads_honored = [&](auto run) {
+    std::remove(stats_path.c_str());
+    const std::string one = run("1");
+    EXPECT_EQ(ReadFileOrEmpty(stats_path).find("\"pool.jobs\""),
+              std::string::npos);
+    const std::string four = run("4");
+    EXPECT_EQ(one, four);
+    const std::string stats = ReadFileOrEmpty(stats_path);
+    EXPECT_NE(stats.find("\"pool.jobs\""), std::string::npos) << stats;
+    EXPECT_NE(stats.find("\"analyzer.checks\""), std::string::npos)
+        << stats;
+  };
+  {
+    SCOPED_TRACE("shell");
+    expect_threads_honored(shell);
+  }
+  {
+    SCOPED_TRACE("simulate");
+    expect_threads_honored(simulate);
+  }
+  std::remove(stats_path.c_str());
+  std::remove(witness_path.c_str());
+}
+
 }  // namespace
 }  // namespace mvrob

@@ -4,8 +4,10 @@
 // counterexample (not allowed, or serializable).
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "core/robustness.h"
 #include "core/split_schedule.h"
+#include "core/witness.h"
 #include "iso/allowed.h"
 #include "schedule/serializability.h"
 #include "txn/parser.h"
@@ -273,6 +275,81 @@ TEST(SplitConditionTest, SplitOrderShape) {
   EXPECT_EQ(order[1 + 3], (OpRef{0, 1}));        // postfix: W1[y].
   EXPECT_EQ(order[1 + 4], (OpRef{0, 2}));        // C1.
   EXPECT_EQ(order[order.size() - 1].txn, 2u);    // T3 appended last.
+}
+
+// ValidateSplitChain and the witness report read the same conditions: for
+// chains that break each of (1)-(8) in turn, validation fails on exactly
+// the first condition the report marks as not holding, with that
+// condition's detail and "(cond. N)" tag.
+TEST(SplitConditionTest, ValidationFailsOnTheReportsFirstBrokenCondition) {
+  struct Case {
+    const char* txns;
+    Allocation alloc;
+    CounterexampleChain chain;
+    size_t broken;  // The first condition that does not hold, 1-based.
+  };
+  auto chain_of = [](TxnId tm, OpRef b1, OpRef a1, OpRef a2, OpRef bm,
+                     std::vector<TxnId> inner) {
+    CounterexampleChain chain;
+    chain.t1 = 0;
+    chain.t2 = 1;
+    chain.tm = tm;
+    chain.b1 = b1;
+    chain.a1 = a1;
+    chain.a2 = a2;
+    chain.bm = bm;
+    chain.inner = std::move(inner);
+    return chain;
+  };
+  CounterexampleChain skew = WriteSkewChain();
+  CounterexampleChain b1_write = skew;
+  b1_write.b1 = OpRef{0, 1};  // W1[y] is not a read.
+  CounterexampleChain a1_unrelated = skew;
+  a1_unrelated.a1 = OpRef{0, 0};  // R2[y] does not conflict with R1[x].
+  const char* kSkew = "T1: R[x] W[y]\nT2: R[y] W[x]";
+  const IsolationLevel rc = IsolationLevel::kRC;
+  const IsolationLevel si = IsolationLevel::kSI;
+  const IsolationLevel ssi = IsolationLevel::kSSI;
+  const std::vector<Case> cases = {
+      // (1) The inner T3 conflicts with T1 on q.
+      {"T1: R[x] W[y] R[q]\nT2: W[x] R[a]\nT3: W[a] W[q] R[b]\n"
+       "T4: W[b] R[y]",
+       Allocation::AllSI(4),
+       chain_of(3, {0, 0}, {0, 1}, {1, 0}, {3, 1}, {2}), 1},
+      // (2) W1[z] in the prefix clashes with W2[z].
+      {"T1: W[z] R[x] W[y]\nT2: R[y] W[x] W[z]", Allocation::AllRC(2),
+       chain_of(1, {0, 1}, {0, 2}, {1, 1}, {1, 0}, {}), 2},
+      // (3) W1[z] in the postfix clashes with W2[z], T1 at SI.
+      {"T1: R[x] W[y] W[z]\nT2: R[y] W[x] W[z]", Allocation::AllSI(2),
+       chain_of(1, {0, 0}, {0, 1}, {1, 1}, {1, 0}, {}), 3},
+      {kSkew, Allocation::AllSI(2), b1_write, 4},
+      {kSkew, Allocation::AllSI(2), a1_unrelated, 5},
+      {kSkew, Allocation::AllSSI(2), skew, 6},
+      // (7) T1 writes q, which T2 reads; T1 and T2 at SSI.
+      {"T1: R[x] W[y] W[q]\nT2: W[x] R[q] R[b]\nT3: W[b] R[y]",
+       Allocation({ssi, ssi, si}),
+       chain_of(2, {0, 0}, {0, 1}, {1, 0}, {2, 1}, {}), 7},
+      // (8) T3 writes z, which T1 reads; T1 and T3 at SSI.
+      {"T1: R[x] W[y] R[z]\nT2: W[x] W[a]\nT3: R[a] R[y] W[z]",
+       Allocation({ssi, rc, ssi}),
+       chain_of(2, {0, 0}, {0, 1}, {1, 0}, {2, 1}, {}), 8},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.broken);
+    TransactionSet txns = Parse(c.txns);
+    StatusOr<WitnessReport> report = BuildWitnessReport(txns, c.alloc, c.chain);
+    ASSERT_TRUE(report.ok()) << report.status();
+    ASSERT_EQ(report->conditions.size(), 8u);
+    size_t first = 0;
+    while (first < 8 && report->conditions[first].holds) ++first;
+    ASSERT_EQ(first + 1, c.broken);
+    Status status = ValidateSplitChain(txns, c.alloc, c.chain);
+    EXPECT_FALSE(status.ok());
+    EXPECT_EQ(status.message(),
+              StrCat(report->conditions[first].detail, " (cond. ", c.broken,
+                     ")"));
+    EXPECT_FALSE(report->verified);
+  }
 }
 
 }  // namespace

@@ -9,12 +9,18 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/string_util.h"
+#include "core/analyzer.h"
 #include "core/explain.h"
 #include "core/optimal_allocation.h"
 #include "core/robustness.h"
+#include "core/split_schedule.h"
 #include "fixtures.h"
 #include "oracle/reference_checker.h"
+#include "promote/promotion.h"
 #include "txn/parser.h"
+#include "workloads/registry.h"
+#include "workloads/workload.h"
 
 namespace mvrob {
 namespace {
@@ -174,6 +180,72 @@ TEST(WitnessExplainTest, NonRobustAllocationStatusNamesTheChain) {
       << explanation.status().ToString();
   EXPECT_NE(explanation.status().message().find("chain"), std::string::npos)
       << explanation.status().ToString();
+}
+
+// Referee for Definition 3.1's callers: for every chain FindAll returns on
+// three workloads, the chain, its promotion candidates, its witness-report
+// edges and conditions, and ValidateSplitChain's verdict on the chain as found and
+// with T1, T2 and Tm raised to SSI (which condition (6) refuses).
+std::string ChainGoldenSection(const std::string& title,
+                               const TransactionSet& txns,
+                               const Allocation& alloc) {
+  CounterexampleList found = RobustnessAnalyzer(txns).FindAll(alloc, 32);
+  std::string out =
+      StrCat("== ", title, " (", found.chains.size(), " chains)\n");
+  for (size_t i = 0; i < found.chains.size(); ++i) {
+    const CounterexampleChain& chain = found.chains[i];
+    std::vector<std::string> candidates;
+    for (OpRef ref : CandidatesFromChain(txns, chain)) {
+      candidates.push_back(txns.FormatOp(ref));
+    }
+    out += StrCat("chain ", i, ": ", chain.ToString(txns), "\n");
+    out += StrCat("  candidates: ", Join(candidates, ", "), "\n");
+    StatusOr<WitnessReport> report = BuildWitnessReport(txns, alloc, chain);
+    if (!report.ok()) {
+      out += StrCat("  report error: ", report.status().ToString(), "\n");
+    } else {
+      for (const WitnessEdge& edge : report->edges) {
+        out += StrCat("  edge ", txns.FormatOp(edge.b), "->",
+                      txns.FormatOp(edge.a), " ", edge.conflict, " ",
+                      edge.condition, ": ", edge.detail, "\n");
+      }
+      for (const WitnessCondition& condition : report->conditions) {
+        out += StrCat("  ", condition.condition,
+                      condition.holds ? " holds: " : " fails: ",
+                      condition.detail, "\n");
+      }
+    }
+    Allocation raised = alloc.With(chain.t1, IsolationLevel::kSSI)
+                            .With(chain.t2, IsolationLevel::kSSI)
+                            .With(chain.tm, IsolationLevel::kSSI);
+    out += StrCat("  valid: ",
+                  ValidateSplitChain(txns, alloc, chain).ok() ? "ok" : "not-ok",
+                  "; raised to SSI: ",
+                  ValidateSplitChain(txns, raised, chain).ok() ? "ok"
+                                                               : "not-ok",
+                  "\n");
+  }
+  return out;
+}
+
+TransactionSet NamedTxns(const std::string& spec) {
+  StatusOr<Workload> workload = MakeNamedWorkload(spec);
+  EXPECT_TRUE(workload.ok()) << workload.status();
+  return std::move(workload->txns);
+}
+
+TEST(WitnessChainGoldenTest, ConditionsCandidatesAndVerdictsOfFoundChains) {
+  TransactionSet smallbank = NamedTxns("smallbank:c=8");
+  TransactionSet tpcc = NamedTxns("tpcc:w=1,d=2");
+  TransactionSet figure2 = Figure2Txns();
+  CompareGolden(
+      "split_chains.txt",
+      ChainGoldenSection("smallbank:c=8 A_SI", smallbank,
+                         Allocation::AllSI(smallbank.size())) +
+          ChainGoldenSection("tpcc:w=1,d=2 A_RC", tpcc,
+                             Allocation::AllRC(tpcc.size())) +
+          ChainGoldenSection("figure 2 A_RC", figure2,
+                             Allocation::AllRC(figure2.size())));
 }
 
 }  // namespace

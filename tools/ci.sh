@@ -672,9 +672,10 @@ cmake -B build-asan -S . -DMVROB_SANITIZE=address >/dev/null
 cmake --build build-asan -j"$JOBS" --target \
   common_test parallel_differential_test core_test delta_check_test \
   find_all_test mvcc_test concurrent_engine_test cli_test metrics_test \
-  templates_test template_predicate_test
+  templates_test template_predicate_test split_schedule_test witness_test \
+  promotion_test
 MVROB_POOL_WORKERS=3 \
   ctest --test-dir build-asan --output-on-failure -j"$JOBS" \
-  -R 'DenseBitset|BitMatrix|ThreadPool|ParallelDifferential|Core|Analyzer|DeltaCheck|FindAll|RunWorkload|RcSiComposesWithBounds|BoundedAllocate|Template|CliTemplateGolden'
+  -R 'DenseBitset|BitMatrix|ThreadPool|ParallelDifferential|Core|Analyzer|DeltaCheck|FindAll|RunWorkload|RcSiComposesWithBounds|BoundedAllocate|Template|CliTemplateGolden|SplitCondition|Witness|Promotion'
 
 echo "==== all CI stages passed ===="
