@@ -560,6 +560,11 @@ int CmdAllocate(const Flags& flags, std::ostream& out, std::ostream& err,
                            " does not apply with --rcsi, --pin or --atmost")));
     }
   }
+  if (flags.Has("json") && flags.Has("explain")) {
+    return Fail(err, Status::InvalidArgument(
+                         "--explain does not apply with --json (use "
+                         "--witness-json for the obstacles)"));
+  }
   StatusOr<AllocationBounds> bounds = LoadBounds(flags, *txns);
   if (!bounds.ok()) return Fail(err, bounds.status());
 
@@ -593,7 +598,7 @@ int CmdAllocate(const Flags& flags, std::ostream& out, std::ostream& err,
 
   // One explanation serves --witness-json/-dot and the --explain text.
   const bool witness = flags.Has("witness-json") || flags.Has("witness-dot");
-  const bool explain = flags.Has("explain") && !flags.Has("json");
+  const bool explain = flags.Has("explain");
   std::optional<AllocationExplanation> explanation;
   if (witness || explain) {
     StatusOr<AllocationExplanation> explained =

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <condition_variable>
+#include <latch>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -334,22 +335,11 @@ int RunServe(ServeParams params, std::ostream& out, std::ostream& err) {
       return 1;
     }
   }
-  if (!params.port_file.empty()) {
-    Status written =
-        WriteTextFile(params.port_file, StrCat(server.port()));
-    if (!written.ok()) {
-      restore_signals();
-      err << "error: " << written.ToString() << "\n";
-      return 1;
-    }
-  }
-  out << "serving on http://" << params.host << ":" << server.port() << "\n"
-      << std::flush;
-  GlobalLogger().Log(LogLevel::kInfo, "serve.listen", "telemetry server up",
-                     {LogField("host", params.host),
-                      LogField("port", static_cast<int64_t>(server.port())),
-                      LogField("window_s",
-                               static_cast<uint64_t>(params.window_s))});
+
+  // The port is published only once every worker thread has registered
+  // its ProfiledThreadScope, so a client that reads --port-file finds
+  // them all in /debug/stacks.
+  std::latch registered(controller.has_value() ? 3 : 2);
 
   // Driver thread: runs the workload continuously in bounded engine
   // epochs. Each epoch snapshots the active (workload, allocation) pair —
@@ -360,6 +350,7 @@ int RunServe(ServeParams params, std::ostream& out, std::ostream& err) {
   uint64_t committed = 0;
   std::thread driver([&] {
     ProfiledThreadScope profile_scope("serve.driver");
+    registered.count_down();
     while (!stop.load(std::memory_order_relaxed)) {
       TransactionSet txns;
       Allocation alloc;
@@ -388,6 +379,7 @@ int RunServe(ServeParams params, std::ostream& out, std::ostream& err) {
   // behind an in-flight scan of a large workload.
   std::thread witness_thread([&] {
     ProfiledThreadScope profile_scope("serve.witness");
+    registered.count_down();
     std::unique_lock<std::mutex> lock(stop_mu);
     while (!stop.load(std::memory_order_relaxed)) {
       lock.unlock();
@@ -419,6 +411,7 @@ int RunServe(ServeParams params, std::ostream& out, std::ostream& err) {
   if (controller.has_value()) {
     adapt_thread = std::thread([&] {
       ProfiledThreadScope profile_scope("adapt.controller");
+      registered.count_down();
       controller->Run(stop, stop_mu, stop_cv);
     });
   }
@@ -434,22 +427,44 @@ int RunServe(ServeParams params, std::ostream& out, std::ostream& err) {
     });
   }
 
+  auto stop_workers = [&] {
+    {
+      std::lock_guard<std::mutex> lock(stop_mu);
+      stop.store(true, std::memory_order_relaxed);
+    }
+    stop_cv.notify_all();
+    driver.join();
+    witness_thread.join();
+    if (adapt_thread.joinable()) adapt_thread.join();
+    if (timer.joinable()) timer.join();
+  };
+
+  registered.wait();
+  if (!params.port_file.empty()) {
+    Status written =
+        WriteTextFile(params.port_file, StrCat(server.port()));
+    if (!written.ok()) {
+      stop_workers();
+      restore_signals();
+      err << "error: " << written.ToString() << "\n";
+      return 1;
+    }
+  }
+  out << "serving on http://" << params.host << ":" << server.port() << "\n"
+      << std::flush;
+  GlobalLogger().Log(LogLevel::kInfo, "serve.listen", "telemetry server up",
+                     {LogField("host", params.host),
+                      LogField("port", static_cast<int64_t>(server.port())),
+                      LogField("window_s",
+                               static_cast<uint64_t>(params.window_s))});
+
   Status served = [&] {
     ProfiledThreadScope http_scope("http");
     return server.Serve();
   }();
 
   restore_signals();
-
-  {
-    std::lock_guard<std::mutex> lock(stop_mu);
-    stop.store(true, std::memory_order_relaxed);
-  }
-  stop_cv.notify_all();
-  driver.join();
-  witness_thread.join();
-  if (adapt_thread.joinable()) adapt_thread.join();
-  if (timer.joinable()) timer.join();
+  stop_workers();
 
   if (Profiler::active()) {
     Profiler::Stop();

@@ -159,6 +159,11 @@ class BitSpan {
     for (size_t w = 0; w < num_words(); ++w) words_[w] = ~uint64_t{0};
     ClearTail();
   }
+  /// this = ~this (within size()).
+  void FlipAll() {
+    for (size_t w = 0; w < num_words(); ++w) words_[w] = ~words_[w];
+    ClearTail();
+  }
 
   void CopyFrom(ConstBitSpan other) {
     assert(bits_ == other.size());

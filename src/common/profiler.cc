@@ -40,7 +40,7 @@ constexpr size_t kCaptureFrames = 64;
 
 struct Sample {
   uint32_t n = 0;
-  void* pc[kMaxFrames];
+  void* pc[kMaxFrames] = {};
 };
 
 struct ThreadEntry {
@@ -48,7 +48,8 @@ struct ThreadEntry {
   pid_t tid = 0;
   pthread_t handle{};
   char role[64] = {};
-  bool sampleable = true;  // Profiler internals opt out of their own timer.
+  // Profiler internals opt out of their own timer; set at registration.
+  bool sampleable = false;
   // SPSC ring: the owning thread's signal handler produces, the collector
   // (or the owning thread's scope destructor) consumes.
   std::atomic<uint32_t> head{0};
@@ -59,7 +60,10 @@ struct ThreadEntry {
   bool timer_armed = false;
 };
 
-ThreadEntry g_entries[kMaxThreads];
+// Constant-initialized to all zeros, so the table (about 6.4 MB) lives in
+// .bss: no static initializer writes it, and a process that never
+// registers a thread never touches its pages.
+constinit ThreadEntry g_entries[kMaxThreads];
 // Guards slot claim/release, role strings and timer arm/disarm.
 std::mutex g_registry_mu;
 thread_local ThreadEntry* tl_entry = nullptr;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cassert>
 #include <limits>
 #include <memory>
 
@@ -12,152 +14,283 @@
 
 namespace mvrob {
 
-RobustnessAnalyzer::RobustnessAnalyzer(const TransactionSet& txns,
-                                       MetricsRegistry* metrics)
-    : RobustnessAnalyzer(txns, ConflictPruner{}, metrics) {}
+namespace {
+
+// One transaction's accesses to one object: the first and last
+// program-order index of its reads and of its writes (-1: none).
+struct Access {
+  TxnId txn = kInvalidTxnId;
+  int first_read = -1;
+  int last_read = -1;
+  int first_write = -1;
+  int last_write = -1;
+
+  bool reads() const { return first_read >= 0; }
+  bool writes() const { return first_write >= 0; }
+};
+
+// Every object's accessors in ascending transaction order, in one flat
+// CSR array indexed by ObjectId: object o's accesses are
+// accesses[offsets[o], offsets[o + 1]).
+struct ObjectIndex {
+  std::vector<uint32_t> offsets;
+  std::vector<Access> accesses;
+
+  explicit ObjectIndex(const TransactionSet& txns) {
+    size_t objects = 0;
+    for (TxnId t = 0; t < txns.size(); ++t) {
+      for (const Operation& op : txns.txn(t).ops()) {
+        if (!op.IsCommit()) objects = std::max<size_t>(objects, op.object + 1);
+      }
+    }
+    // Count, then place: `seen[o]` marks the transaction whose access to o
+    // was last counted (placed), `slot[o]` where it was placed.
+    std::vector<TxnId> seen(objects, kInvalidTxnId);
+    offsets.assign(objects + 1, 0);
+    for (TxnId t = 0; t < txns.size(); ++t) {
+      for (const Operation& op : txns.txn(t).ops()) {
+        if (op.IsCommit() || seen[op.object] == t) continue;
+        seen[op.object] = t;
+        ++offsets[op.object + 1];
+      }
+    }
+    for (size_t o = 0; o < objects; ++o) offsets[o + 1] += offsets[o];
+    accesses.resize(offsets[objects]);
+    std::vector<uint32_t> slot(offsets.begin(), offsets.end() - 1);
+    std::fill(seen.begin(), seen.end(), kInvalidTxnId);
+    for (TxnId t = 0; t < txns.size(); ++t) {
+      const Transaction& txn = txns.txn(t);
+      for (int k = 0; k < txn.num_ops(); ++k) {
+        const Operation& op = txn.op(k);
+        if (op.IsCommit()) continue;
+        if (seen[op.object] != t) {
+          seen[op.object] = t;
+          accesses[slot[op.object]++].txn = t;
+        }
+        Access& access = accesses[slot[op.object] - 1];
+        int& first = op.IsRead() ? access.first_read : access.first_write;
+        if (first < 0) first = k;
+        (op.IsRead() ? access.last_read : access.last_write) = k;
+      }
+    }
+  }
+
+  size_t num_objects() const { return offsets.size() - 1; }
+  const Access* begin(size_t o) const { return accesses.data() + offsets[o]; }
+  const Access* end(size_t o) const {
+    return accesses.data() + offsets[o + 1];
+  }
+};
+
+uint64_t MatrixBytes(const BitMatrix& matrix) {
+  return matrix.rows() * BitWords(matrix.cols()) * sizeof(uint64_t);
+}
+
+}  // namespace
 
 RobustnessAnalyzer::RobustnessAnalyzer(const TransactionSet& txns,
-                                       const ConflictPruner& pruner,
                                        MetricsRegistry* metrics)
     : txns_(txns), metrics_(metrics) {
   const size_t n = txns.size();
+  const size_t words = BitWords(n);
   conflict_ = BitMatrix(n, n);
   rw_ = BitMatrix(n, n);
   rw_into_ = BitMatrix(n, n);
   ww_never_ = BitMatrix(n, n);
   rw_before_ww_ = BitMatrix(n, n);
   si_candidates_ = BitMatrix(n, n);
-  first_ww_idx_.assign(n * n, kNever);
-  first_rw_idx_.assign(n * n, kNever);
-  last_conflict_idx_.assign(n * n, -1);
   pivot_cache_.resize(n);
   rc_cache_.resize(n);
 
+  // Only pairs sharing an object, with at least one of them writing it,
+  // conflict; the object index visits exactly those.
+  const ObjectIndex index(txns);
   {
     PhaseTimer matrix_timer(metrics_, "analyzer.build_conflict_matrix");
-    for (TxnId i = 0; i < n; ++i) {
-      const Transaction& ti = txns.txn(i);
-      for (TxnId j = 0; j < n; ++j) {
-        if (i == j) continue;
-        // A sound pruner clearing the pair means no operation-level
-        // conflict exists; the sentinel defaults already encode that.
-        if (!pruner.MayConflict(i, j)) continue;
-        const Transaction& tj = txns.txn(j);
-        int& first_ww = first_ww_idx_[i * n + j];
-        int& first_rw = first_rw_idx_[i * n + j];
-        int& last_conflict = last_conflict_idx_[i * n + j];
-        for (int k = 0; k < ti.num_ops(); ++k) {
-          const Operation& op = ti.op(k);
-          if (op.IsCommit()) continue;
-          bool writes_j = tj.Writes(op.object);
-          if (op.IsWrite()) {
-            if (writes_j && first_ww == kNever) first_ww = k;
-            if (writes_j || tj.Reads(op.object)) last_conflict = k;
-          } else if (writes_j) {
-            rw_.Set(i, j);
-            if (first_rw == kNever) first_rw = k;
-            last_conflict = k;
+    // ww_never_ holds the ww relation until it is flipped below.
+    for (size_t o = 0; o < index.num_objects(); ++o) {
+      for (const Access* a = index.begin(o); a != index.end(o); ++a) {
+        if (!a->writes()) continue;
+        for (const Access* b = index.begin(o); b != index.end(o); ++b) {
+          if (b == a) continue;
+          conflict_.Set(a->txn, b->txn);
+          conflict_.Set(b->txn, a->txn);
+          if (b->writes()) ww_never_.Set(a->txn, b->txn);
+          if (b->reads()) {
+            rw_.Set(b->txn, a->txn);
+            rw_into_.Set(a->txn, b->txn);
           }
         }
-        if (rw_.Test(i, j) || first_ww != kNever || last_conflict >= 0) {
-          conflict_.Set(i, j);
+      }
+    }
+    row_start_.assign(n + 1, 0);
+    rank_.resize(n * words);
+    for (TxnId i = 0; i < n; ++i) {
+      ConstBitSpan row = conflict_.row(i);
+      uint32_t rank = 0;
+      for (size_t w = 0; w < words; ++w) {
+        rank_[i * words + w] = rank;
+        rank += static_cast<uint32_t>(std::popcount(row.word(w)));
+      }
+      row_start_[i + 1] = row_start_[i] + rank;
+    }
+  }
+  PhaseTimer masks_timer(metrics_, "analyzer.build_candidate_masks");
+  pairs_.assign(row_start_[n], PairIndex{});
+  for (size_t o = 0; o < index.num_objects(); ++o) {
+    for (const Access* a = index.begin(o); a != index.end(o); ++a) {
+      for (const Access* b = index.begin(o); b != index.end(o); ++b) {
+        if (b == a || !(a->writes() || b->writes())) continue;
+        PairIndex& entry =
+            pairs_[row_start_[a->txn] + RankInRow(a->txn, b->txn)];
+        if (a->writes()) {
+          if (b->writes()) {
+            entry.first_ww = std::min(entry.first_ww, a->first_write);
+          }
+          entry.last_conflict = std::max(entry.last_conflict, a->last_write);
+        }
+        if (a->reads() && b->writes()) {
+          entry.first_rw = std::min(entry.first_rw, a->first_read);
+          entry.last_conflict = std::max(entry.last_conflict, a->last_read);
         }
       }
     }
   }
-  // Close conflict_ under symmetry (the scan sees rw via Ti's reads only)
-  // and derive the candidate rows.
-  PhaseTimer masks_timer(metrics_, "analyzer.build_candidate_masks");
   for (TxnId i = 0; i < n; ++i) {
-    for (TxnId j = i + 1; j < n; ++j) {
-      if (conflict_.Test(i, j) || conflict_.Test(j, i)) {
-        conflict_.Set(i, j);
-        conflict_.Set(j, i);
-      }
-      if (rw_.Test(i, j)) rw_into_.Set(j, i);
-      if (rw_.Test(j, i)) rw_into_.Set(i, j);
-    }
-  }
-  for (TxnId i = 0; i < n; ++i) {
-    for (TxnId j = 0; j < n; ++j) {
-      int first_ww = first_ww_idx_[i * n + j];
-      if (first_ww == kNever) ww_never_.Set(i, j);
-      int first_rw = first_rw_idx_[i * n + j];
-      if (first_rw != kNever && first_rw < first_ww) rw_before_ww_.Set(i, j);
-    }
+    ww_never_.row(i).FlipAll();
+    const PairIndex* entry = pairs_.data() + row_start_[i];
+    BitSpan before = rw_before_ww_.row(i);
+    conflict_.row(i).ForEachSetBit([&](size_t j) {
+      if (entry->first_rw < entry->first_ww) before.Set(j);
+      ++entry;
+    });
     BitSpan si = si_candidates_.row(i);
     si.CopyFrom(ww_never_.row(i));
     si.AndWith(rw_into_.row(i));
   }
+  RecordBytes(metrics_);
 }
+
+size_t RobustnessAnalyzer::RankInRow(TxnId i, TxnId j) const {
+  assert(conflict_.Test(i, j));
+  const size_t w = j / kBitsPerWord;
+  const uint64_t below =
+      conflict_.row(i).word(w) & ((uint64_t{1} << (j % kBitsPerWord)) - 1);
+  return rank_[i * BitWords(txns_.size()) + w] +
+         static_cast<size_t>(std::popcount(below));
+}
+
+RobustnessAnalyzer::Bytes RobustnessAnalyzer::bytes() const {
+  Bytes bytes;
+  for (const BitMatrix* matrix : {&conflict_, &rw_, &rw_into_, &ww_never_,
+                                  &rw_before_ww_, &si_candidates_}) {
+    bytes.relations += MatrixBytes(*matrix);
+  }
+  bytes.pair_rank = row_start_.size() * sizeof(size_t) +
+                    rank_.size() * sizeof(uint32_t);
+  bytes.pair_entries = pairs_.size() * sizeof(PairIndex);
+  bytes.pivot_caches = pivot_bytes_.load(std::memory_order_relaxed);
+  bytes.rc_caches = rc_bytes_.load(std::memory_order_relaxed);
+  return bytes;
+}
+
+void RobustnessAnalyzer::RecordBytes(MetricsRegistry* metrics) const {
+  if (metrics == nullptr) return;
+  const Bytes b = bytes();
+  auto set = [&](std::string_view name, uint64_t value) {
+    metrics->gauge(name).Set(static_cast<int64_t>(value));
+  };
+  set("analyzer.bytes", b.total());
+  set("analyzer.bytes{table=relations}", b.relations);
+  set("analyzer.bytes{table=pair_rank}", b.pair_rank);
+  set("analyzer.bytes{table=pair_entries}", b.pair_entries);
+  set("analyzer.bytes{table=pivot_caches}", b.pivot_caches);
+  set("analyzer.bytes{table=rc_caches}", b.rc_caches);
+}
+
+namespace {
+
+// PivotFor's scratch, one set per thread and reused across pivots.
+struct PivotScratch {
+  DenseBitset nodes;
+  DenseBitset unvisited;
+  DenseBitset fresh;
+  std::vector<uint32_t> comp_of;
+  std::vector<TxnId> queue;
+
+  void Fit(size_t n) {
+    if (nodes.size() == n) return;
+    for (DenseBitset* row : {&nodes, &unvisited, &fresh}) row->Resize(n);
+    comp_of.resize(n);
+  }
+};
+
+}  // namespace
 
 const RobustnessAnalyzer::PivotCache& RobustnessAnalyzer::PivotFor(
     TxnId t1) const {
-  std::optional<PivotCache>& slot = pivot_cache_[t1];
-  if (slot.has_value()) return *slot;
+  PivotCache& cache = pivot_cache_[t1];
+  if (cache.words_per_row != 0) return cache;
 
   const size_t n = txns_.size();
+  thread_local PivotScratch scratch;
+  scratch.Fit(n);
   // Nodes: transactions not conflicting with t1 (conflict_ is symmetric,
-  // so this is the complement of t1's row). Components via union-find,
-  // edges walked word-wise over the conflict rows restricted to the node
-  // set.
-  DenseBitset node_mask(n);
-  node_mask.SetAll();
-  node_mask.AndNotWith(conflict_.row(t1));
-  node_mask.Reset(t1);
-
-  std::vector<int> comp_of(n, -1);
-  std::vector<TxnId> nodes;
-  node_mask.ForEachSetBit(
-      [&](size_t x) { nodes.push_back(static_cast<TxnId>(x)); });
-  std::vector<int> node_index(n, -1);
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    node_index[nodes[i]] = static_cast<int>(i);
-  }
-  // Simple DSU.
-  std::vector<size_t> parent(nodes.size());
-  for (size_t i = 0; i < nodes.size(); ++i) parent[i] = i;
-  auto find = [&](size_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
+  // so this is the complement of t1's row). Components by BFS, each
+  // frontier expanded word-wise over the conflict rows.
+  DenseBitset& nodes = scratch.nodes;
+  nodes.SetAll();
+  nodes.AndNotWith(conflict_.row(t1));
+  nodes.Reset(t1);
+  DenseBitset& unvisited = scratch.unvisited;
+  DenseBitset& fresh = scratch.fresh;
+  unvisited.CopyFrom(nodes);
+  uint32_t components = 0;
+  for (size_t start = unvisited.FindFirst(); start < n;
+       start = unvisited.FindNext(start + 1)) {
+    std::vector<TxnId>& queue = scratch.queue;
+    queue.assign(1, static_cast<TxnId>(start));
+    unvisited.Reset(start);
+    for (size_t head = 0; head < queue.size(); ++head) {
+      scratch.comp_of[queue[head]] = components;
+      fresh.CopyFrom(conflict_.row(queue[head]));
+      fresh.AndWith(unvisited);
+      unvisited.AndNotWith(fresh);
+      fresh.ForEachSetBit(
+          [&](size_t y) { queue.push_back(static_cast<TxnId>(y)); });
     }
-    return x;
-  };
-  DenseBitset row_nodes(n);
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    row_nodes.CopyFrom(conflict_.row(nodes[i]));
-    row_nodes.AndWith(node_mask);
-    row_nodes.ForEachSetBit([&](size_t y) {
-      size_t j = static_cast<size_t>(node_index[y]);
-      if (j > i) parent[find(i)] = find(j);
-    });
-  }
-  // Dense component ids.
-  std::vector<int> dense(nodes.size(), -1);
-  int num_components = 0;
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    size_t root = find(i);
-    if (dense[root] < 0) dense[root] = num_components++;
-    comp_of[nodes[i]] = dense[root];
+    ++components;
   }
 
-  PivotCache cache;
-  cache.comp_conf.assign(n, DenseBitset(static_cast<size_t>(num_components)));
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    int c = comp_of[nodes[i]];
-    // conflict_'s diagonal is clear, so x != nodes[i] throughout.
-    conflict_.row(nodes[i]).ForEachSetBit(
-        [&](size_t x) { cache.comp_conf[x].Set(static_cast<size_t>(c)); });
-  }
-  slot = std::move(cache);
-  return *slot;
+  // One mask row per member of t1's conflict row.
+  const size_t words = std::max<size_t>(1, BitWords(components));
+  cache.masks.assign(conflict_.row(t1).Count() * words, 0);
+  uint64_t* mask = cache.masks.data();
+  conflict_.row(t1).ForEachSetBit([&](size_t x) {
+    fresh.CopyFrom(conflict_.row(x));
+    fresh.AndWith(nodes);
+    fresh.ForEachSetBit([&](size_t y) {
+      const uint32_t c = scratch.comp_of[y];
+      mask[c / kBitsPerWord] |= uint64_t{1} << (c % kBitsPerWord);
+    });
+    mask += words;
+  });
+  cache.words_per_row = static_cast<uint32_t>(words);
+  pivot_bytes_.fetch_add(cache.masks.size() * sizeof(uint64_t),
+                         std::memory_order_relaxed);
+  return cache;
 }
 
 bool RobustnessAnalyzer::Reachable(TxnId t1, TxnId t2, TxnId tm) const {
   if (t2 == tm || conflict_.Test(t2, tm)) return true;
   const PivotCache& cache = PivotFor(t1);
-  return cache.comp_conf[t2].Intersects(cache.comp_conf[tm]);
+  const size_t words = cache.words_per_row;
+  const uint64_t* a = cache.masks.data() + RankInRow(t1, t2) * words;
+  const uint64_t* b = cache.masks.data() + RankInRow(t1, tm) * words;
+  for (size_t w = 0; w < words; ++w) {
+    if (a[w] & b[w]) return true;
+  }
+  return false;
 }
 
 ConstBitSpan RobustnessAnalyzer::RcCandidatesFor(TxnId t1, int k) const {
@@ -165,15 +298,19 @@ ConstBitSpan RobustnessAnalyzer::RcCandidatesFor(TxnId t1, int k) const {
   for (const std::pair<int, DenseBitset>& entry : slots) {
     if (entry.first == k) return entry.second.span();
   }
-  const size_t n = txns_.size();
-  DenseBitset mask(n);
-  for (TxnId tm = 0; tm < n; ++tm) {
-    if (tm == t1) continue;
-    if (first_ww_idx(t1, tm) > k &&
-        (rw_into_.Test(t1, tm) || last_conflict_idx(t1, tm) > k)) {
+  // A candidate conflicts with t1: otherwise it has no operation after k
+  // conflicting with T1 and is not rw-read by it.
+  DenseBitset mask(txns_.size());
+  const PairIndex* entry = pairs_.data() + row_start_[t1];
+  conflict_.row(t1).ForEachSetBit([&](size_t tm) {
+    if (entry->first_ww > k &&
+        (rw_into_.Test(t1, tm) || entry->last_conflict > k)) {
       mask.Set(tm);
     }
-  }
+    ++entry;
+  });
+  rc_bytes_.fetch_add(mask.num_words() * sizeof(uint64_t),
+                      std::memory_order_relaxed);
   slots.emplace_back(k, std::move(mask));
   return slots.back().second.span();
 }
@@ -303,7 +440,7 @@ void RobustnessAnalyzer::CheckRow(const RowScan& scan, TxnId t1,
     // constraint towards Tm + condition (5)) minus the SSI exclusions
     // (6) and (8).
     if (t1_rc) {
-      tm_mask.CopyFrom(RcCandidatesFor(t1, first_rw_idx(t1, t2)));
+      tm_mask.CopyFrom(RcCandidatesFor(t1, pair(t1, t2).first_rw));
     } else {
       tm_mask.CopyFrom(si_candidates_.row(t1));
     }
@@ -534,6 +671,7 @@ CounterexampleList RobustnessAnalyzer::Scan(const Allocation& alloc,
     if (metrics != nullptr) {
       RecordScanMetrics(metrics, found, focus, enumerate, n, words,
                         rows_scanned);
+      RecordBytes(metrics);
     }
     return std::move(found);
   };

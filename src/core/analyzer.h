@@ -41,6 +41,22 @@ struct CounterexampleList {
 ///    they are allocation-independent), which turn reachability into a
 ///    word-wise component-bitmask intersection.
 ///
+/// Memory layout. Everything is built from one flat per-object index of
+/// reader and writer operations (CSR, indexed by ObjectId), so the build
+/// only visits pairs that share an object, and only conflicting pairs
+/// store anything beyond bits:
+///  - six n x n BitMatrix relations (conflict, rw, rw_into, ww_never,
+///    rw_before_ww, si_candidates);
+///  - the pair indices as one entry per conflicting ordered pair, row by
+///    row; pair (i, j) sits at its row's start plus j's rank in conflict
+///    row i, found from a per-word prefix popcount table in O(1);
+///  - per pivot T1, one flat word matrix: for every member of T1's
+///    conflict row (the only transactions Algorithm 1 asks about), the
+///    pivot-graph components holding a transaction it conflicts with, in
+///    ceil(components / 64) words, so Reachable is a word AND;
+///  - per RC pivot, one Tm candidate row per distinct split threshold.
+/// bytes() reports each table; the analyzer.bytes gauges export it.
+///
 /// Witness recovery stays on the same bit rows: the inner chain is a BFS
 /// over conflict_ rows restricted to T \ {T1, T2, Tm} minus T1's conflict
 /// row, visiting nodes in the reference checker's order (sources
@@ -78,20 +94,12 @@ struct CounterexampleList {
 /// same analyzer from user threads.
 class RobustnessAnalyzer {
  public:
-  /// `metrics` (nullable) records the matrix-build phase timers and, as a
-  /// default sink, Check-time counters; per-call CheckOptions::metrics
-  /// takes precedence for the latter. Collection never changes results.
+  /// `metrics` (nullable) records the build-phase timers and the
+  /// analyzer.bytes gauges and, as a default sink, Check-time counters;
+  /// per-call CheckOptions::metrics takes precedence for the latter.
+  /// Collection never changes results.
   explicit RobustnessAnalyzer(const TransactionSet& txns,
                               MetricsRegistry* metrics = nullptr);
-
-  /// Same, with a group-level ConflictPruner (core/conflict.h): pairs the
-  /// pruner rules out skip the per-operation scans during matrix
-  /// construction. The pruner must be sound (see ConflictPruner), in
-  /// which case every matrix — and therefore every Check result — is
-  /// identical to the unpruned analyzer's. The referenced pruner tables
-  /// only need to outlive the constructor.
-  RobustnessAnalyzer(const TransactionSet& txns, const ConflictPruner& pruner,
-                     MetricsRegistry* metrics);
 
   /// Algorithm 1 for one allocation; equivalent to CheckRobustness.
   RobustnessResult Check(const Allocation& alloc) const;
@@ -133,19 +141,56 @@ class RobustnessAnalyzer {
 
   const TransactionSet& txns() const { return txns_; }
 
+  /// Heap bytes held by each of the analyzer's tables. The pivot and RC
+  /// caches fill lazily, so they grow with the checks run so far.
+  struct Bytes {
+    uint64_t relations = 0;     // The six n x n bit matrices.
+    uint64_t pair_rank = 0;     // Row starts and per-word rank prefixes.
+    uint64_t pair_entries = 0;  // One PairIndex per conflicting pair.
+    uint64_t pivot_caches = 0;  // Component masks of the built pivots.
+    uint64_t rc_caches = 0;     // Tm candidate rows of RC pivots.
+    uint64_t total() const {
+      return relations + pair_rank + pair_entries + pivot_caches + rc_caches;
+    }
+  };
+  Bytes bytes() const;
+
  private:
+  friend class RobustnessAnalyzerPeer;  // Differential tests.
+
   static constexpr int kNever = std::numeric_limits<int>::max();
 
-  // Conflicts between a pivot's component structure and other transactions.
+  // Operation indices of a conflicting pair (Ti, Tj), kNever / -1 when
+  // there is no such operation.
+  struct PairIndex {
+    int first_ww = kNever;     // First write of Ti on an object Tj writes.
+    int first_rw = kNever;     // First read of Ti on an object Tj writes.
+    int last_conflict = -1;    // Last operation of Ti conflicting with Tj.
+  };
+
+  // Conflicts between a pivot's component structure and the members of
+  // its conflict row.
   struct PivotCache {
-    // For every transaction x: bitmask over the pivot-graph components
-    // that contain a transaction conflicting with x. reachable(t2, tm)
-    // through the graph iff the masks of t2 and tm intersect.
-    std::vector<DenseBitset> comp_conf;
+    // words_per_row words per member of conflict_ row t1, in row order:
+    // the pivot-graph components that contain a transaction conflicting
+    // with that member. reachable(t2, tm) through the graph iff the rows
+    // of t2 and tm intersect. Zero until the cache is built.
+    uint32_t words_per_row = 0;
+    std::vector<uint64_t> masks;
   };
 
   const PivotCache& PivotFor(TxnId t1) const;
+  /// Whether tm is reachable from t2 in the mixed-iso-graph of pivot t1;
+  /// t2 and tm must both conflict with t1 (every T2 and Tm candidate of
+  /// Algorithm 1 does).
   bool Reachable(TxnId t1, TxnId t2, TxnId tm) const;
+
+  /// The rank of j among the set bits of conflict_ row i; j must be set.
+  size_t RankInRow(TxnId i, TxnId j) const;
+  const PairIndex& pair(TxnId i, TxnId j) const {
+    return pairs_[row_start_[i] + RankInRow(i, j)];
+  }
+  void RecordBytes(MetricsRegistry* metrics) const;
 
   /// Tm candidates for an RC-allocated t1 and split threshold k (= the
   /// pair's first_rw index): first_ww_idx[t1][tm] > k and condition (5)
@@ -193,16 +238,6 @@ class RobustnessAnalyzer {
   std::optional<std::vector<TxnId>> InnerChain(TxnId t1, TxnId t2,
                                                TxnId tm) const;
 
-  int first_ww_idx(TxnId i, TxnId j) const {
-    return first_ww_idx_[i * txns_.size() + j];
-  }
-  int first_rw_idx(TxnId i, TxnId j) const {
-    return first_rw_idx_[i * txns_.size() + j];
-  }
-  int last_conflict_idx(TxnId i, TxnId j) const {
-    return last_conflict_idx_[i * txns_.size() + j];
-  }
-
   const TransactionSet& txns_;
   // Default observability sink for Check (overridden per call by
   // CheckOptions::metrics); also receives the build-phase timers.
@@ -222,15 +257,22 @@ class RobustnessAnalyzer {
   // si_candidates_ row i = ww_never_ & rw_into_: the allocation-independent
   // Tm candidates when Ti is allocated SI/SSI.
   BitMatrix si_candidates_;
-  // Flat n*n index tables (i * n + j); kNever / -1 sentinels as documented.
-  std::vector<int> first_ww_idx_;
-  std::vector<int> first_rw_idx_;
-  std::vector<int> last_conflict_idx_;
+  // Pair indices of the conflicting pairs: row i's entries are
+  // pairs_[row_start_[i], row_start_[i + 1]), in ascending j order.
+  // rank_[i * words + w] counts the set bits of conflict_ row i before
+  // word w.
+  std::vector<size_t> row_start_;
+  std::vector<uint32_t> rank_;
+  std::vector<PairIndex> pairs_;
 
   // Lazy per-t1 caches. Slot t1 is only touched by the (single) thread
   // scanning row t1, and pool joins order successive Check calls.
-  mutable std::vector<std::optional<PivotCache>> pivot_cache_;
+  mutable std::vector<PivotCache> pivot_cache_;
   mutable std::vector<std::vector<std::pair<int, DenseBitset>>> rc_cache_;
+  // Bytes the lazy caches hold, for bytes(); rows of concurrent scans add
+  // to them.
+  mutable std::atomic<uint64_t> pivot_bytes_{0};
+  mutable std::atomic<uint64_t> rc_bytes_{0};
 };
 
 }  // namespace mvrob

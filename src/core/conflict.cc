@@ -67,16 +67,10 @@ std::optional<std::pair<OpRef, OpRef>> FindConflictingPair(
 }
 
 BitMatrix BuildConflictMatrix(const TransactionSet& txns) {
-  return BuildConflictMatrix(txns, ConflictPruner{});
-}
-
-BitMatrix BuildConflictMatrix(const TransactionSet& txns,
-                              const ConflictPruner& pruner) {
   const size_t n = txns.size();
   BitMatrix conflict(n, n);
   for (TxnId i = 0; i < n; ++i) {
     for (TxnId j = i + 1; j < n; ++j) {
-      if (!pruner.MayConflict(i, j)) continue;
       if (TxnsConflict(txns, i, j)) {
         conflict.Set(i, j);
         conflict.Set(j, i);

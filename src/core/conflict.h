@@ -3,7 +3,6 @@
 
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "common/bitset.h"
 #include "txn/conflict.h"
@@ -41,33 +40,6 @@ std::optional<std::pair<OpRef, OpRef>> FindConflictingPair(
 /// space (the reference checker's mixed-iso-graph accepts it to avoid
 /// recomputing TxnsConflict per candidate counterexample).
 BitMatrix BuildConflictMatrix(const TransactionSet& txns);
-
-/// A sound group-level pruning hook for conflict-matrix construction:
-/// transactions are partitioned into groups (template programs, in the
-/// template layer) and `group_conflicts` over-approximates which group
-/// pairs can have conflicting members — when it is clear for a pair, the
-/// per-operation intersection test is skipped entirely. Produced by
-/// templates/predicate.h (AnalyzeTemplateConflicts) and consumed by
-/// BuildConflictMatrix and RobustnessAnalyzer; a default-constructed
-/// pruner allows every pair. Soundness is the caller's contract: a
-/// cleared group bit must mean *no* member pair conflicts, so the pruned
-/// matrix equals the unpruned one (property-tested in the template
-/// tests).
-struct ConflictPruner {
-  const BitMatrix* group_conflicts = nullptr;
-  const std::vector<int>* group_of_txn = nullptr;
-
-  bool MayConflict(TxnId i, TxnId j) const {
-    if (group_conflicts == nullptr || group_of_txn == nullptr) return true;
-    return group_conflicts->Test(
-        static_cast<size_t>((*group_of_txn)[i]),
-        static_cast<size_t>((*group_of_txn)[j]));
-  }
-};
-
-/// BuildConflictMatrix with group-level pruning.
-BitMatrix BuildConflictMatrix(const TransactionSet& txns,
-                              const ConflictPruner& pruner);
 
 }  // namespace mvrob
 

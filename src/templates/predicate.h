@@ -49,8 +49,7 @@ struct TemplateOpPairConflict {
 /// canonical instantiation: pair_conflicts(a, b) is set iff some
 /// admissible assignment pair collides in some world, so it
 /// over-approximates the instance-level conflict relation of every
-/// per-world instantiation and can prune the analyzer's pair scans
-/// (core/conflict.h ConflictPruner).
+/// per-world instantiation.
 struct TemplateConflictAnalysis {
   size_t num_templates = 0;
   BitMatrix pair_conflicts;

@@ -21,13 +21,8 @@ StatusOr<TemplateAnalysis> TemplateAnalysis::Build(
 
   TemplateAnalysis analysis;
   for (const WorldInstantiation& world : shared->worlds) {
-    ConflictPruner pruner;
-    if (shared->conflicts.has_value()) {
-      pruner.group_conflicts = &shared->conflicts->pair_conflicts;
-      pruner.group_of_txn = &world.instantiation.template_of_txn;
-    }
     analysis.analyzers_.push_back(std::make_unique<RobustnessAnalyzer>(
-        world.instantiation.txns, pruner, check.metrics));
+        world.instantiation.txns, check.metrics));
   }
   analysis.shared_ = std::move(shared);
   return analysis;

@@ -60,19 +60,20 @@ struct TemplateRobustnessResult {
 /// unknown* function): the set is robust iff every world's instantiation
 /// is. Check is that quantifier, and the only loop over worlds.
 ///
-/// Without promotions the analyzers are pruned by the refined relation
-/// (predicate.h): it masks the pair scans, and every witness recovered
-/// shares the masked conflict matrix, which is bit-identical to the
-/// unpruned one. A promoted analysis (Promote) runs its analyzers
-/// unpruned over the promoted rewrite: promotion inserts writes, which
-/// can create conflicts between template pairs the relation cleared (a
-/// read-read overlap becomes write-read once one side is promoted).
+/// Each world's analyzer indexes its instances' operations by object, so
+/// its build visits only instance pairs that share an object; the refined
+/// template-pair relation (predicate.h) is not needed to skip the rest
+/// and serves the witness report and `templates` output only. A promoted
+/// analysis (Promote) builds its analyzers over the promoted rewrite:
+/// promotion inserts writes, which can create conflicts between template
+/// pairs the relation cleared (a read-read overlap becomes write-read
+/// once one side is promoted).
 class TemplateAnalysis {
  public:
   /// Instantiates every function world and builds the analyzers; every
-  /// check runs with `check` (threads, metrics, cancellation). The
-  /// conflict relation is a pure accelerator: if its enumeration budget
-  /// is exceeded, conflicts() is null and the analyzers run unpruned.
+  /// check runs with `check` (threads, metrics, cancellation). If the
+  /// conflict relation's enumeration budget is exceeded, conflicts() is
+  /// null; the verdicts do not depend on it.
   static StatusOr<TemplateAnalysis> Build(
       const TemplateSet& set, const InstantiationOptions& options = {},
       const CheckOptions& check = {});

@@ -192,6 +192,19 @@ TEST(CliTest, BoundedAllocateRejectsOutputFlags) {
   }
 }
 
+// --json prints only the levels; --explain with it is rejected rather
+// than silently dropped.
+TEST(CliTest, AllocateJsonRejectsExplain) {
+  CliResult result =
+      RunTool({"allocate", "--txns", kWriteSkew, "--json", "--explain"});
+  EXPECT_EQ(result.code, 1);
+  EXPECT_EQ(result.out, "");
+  EXPECT_NE(result.err.find("InvalidArgument: --explain does not apply with "
+                            "--json"),
+            std::string::npos)
+      << result.err;
+}
+
 TEST(CliTest, ExploreAnalyzesSchedule) {
   CliResult result =
       RunTool({"explore", "--txns", kWriteSkew, "--schedule",

@@ -460,6 +460,25 @@ run_row "" allocate --workload smallbank:c=96 --explain
 rm -f "$PATHOLOGICAL_OUT"
 echo "pathological rows OK (promote c=32, allocate --explain c=96 under 30 s)"
 
+echo "==== analyzer memory guard (peak RSS of allocate ycsb:a,n=2048) ===="
+# The analyzer keeps pair indices only for conflicting pairs and one flat
+# word matrix per pivot (docs/architecture.md). `allocate ycsb:a,n=2048`
+# peaked at 30.3 MB on a 4-core host (RelWithDebInfo; 174 MB with the
+# n x n index tables it replaced); the bound is that plus 25 %. The peak
+# is the child's ru_maxrss. Linux carries ru_maxrss across execve, so the
+# figure never reads below this Python's own RSS at fork, which is far
+# below the bound.
+python3 - 38000 <<'PY'
+import resource, subprocess, sys
+
+bound_kb = int(sys.argv[1])
+subprocess.run(["build/tools/mvrob", "allocate", "--workload", "ycsb:a,n=2048"],
+               check=True, stdout=subprocess.DEVNULL, timeout=120)
+peak_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+assert peak_kb <= bound_kb, f"peak RSS {peak_kb} KB exceeds {bound_kb} KB"
+print(f"analyzer memory guard OK: peak RSS {peak_kb} KB <= {bound_kb} KB")
+PY
+
 echo "==== reference-checker guard ===="
 # The per-triple reference checker, its enumeration and the
 # mixed-iso-graph are referees in src/oracle/: outside it, no production
@@ -670,10 +689,10 @@ MVROB_POOL_WORKERS=3 TSAN_OPTIONS="halt_on_error=1" \
 echo "==== ASan build (MVROB_SANITIZE=address) ===="
 cmake -B build-asan -S . -DMVROB_SANITIZE=address >/dev/null
 cmake --build build-asan -j"$JOBS" --target \
-  common_test parallel_differential_test core_test delta_check_test \
-  find_all_test mvcc_test concurrent_engine_test cli_test metrics_test \
-  templates_test template_predicate_test split_schedule_test witness_test \
-  promotion_test
+  common_test parallel_differential_test core_test analyzer_test \
+  delta_check_test find_all_test mvcc_test concurrent_engine_test cli_test \
+  metrics_test templates_test template_predicate_test split_schedule_test \
+  witness_test promotion_test
 MVROB_POOL_WORKERS=3 \
   ctest --test-dir build-asan --output-on-failure -j"$JOBS" \
   -R 'DenseBitset|BitMatrix|ThreadPool|ParallelDifferential|Core|Analyzer|DeltaCheck|FindAll|RunWorkload|RcSiComposesWithBounds|BoundedAllocate|Template|CliTemplateGolden|SplitCondition|Witness|Promotion'
