@@ -137,17 +137,22 @@ Status InstallCrashRecorder(const CrashRecorderOptions& options) {
   if (!g_installed.load(std::memory_order_relaxed)) {
     // Warm backtrace outside the handler (first call may allocate) and run
     // fatal handlers on an alternate stack so stack-overflow SIGSEGVs can
-    // still be reported.
+    // still be reported. A stack the thread already has (ASan installs
+    // one per thread, and unmaps it when the thread exits) is kept.
     void* warm[8];
     backtrace(warm, 8);
-    // Fixed size: SIGSTKSZ is no longer a compile-time constant on modern
-    // glibc.
-    static char alt_stack[64 * 1024];
-    stack_t ss;
-    memset(&ss, 0, sizeof(ss));
-    ss.ss_sp = alt_stack;
-    ss.ss_size = sizeof(alt_stack);
-    sigaltstack(&ss, nullptr);
+    stack_t current;
+    if (sigaltstack(nullptr, &current) == 0 &&
+        (current.ss_flags & SS_DISABLE) != 0) {
+      // Fixed size: SIGSTKSZ is no longer a compile-time constant on
+      // modern glibc.
+      static char alt_stack[64 * 1024];
+      stack_t ss;
+      memset(&ss, 0, sizeof(ss));
+      ss.ss_sp = alt_stack;
+      ss.ss_size = sizeof(alt_stack);
+      sigaltstack(&ss, nullptr);
+    }
 
     struct sigaction action;
     memset(&action, 0, sizeof(action));

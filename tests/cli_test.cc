@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <regex>
 #include <set>
 #include <sstream>
@@ -335,6 +336,7 @@ TEST(CliTest, RejectsMalformedNumericFlags) {
       {{"simulate", "--txns", kWriteSkew, "--seed", "18446744073709551616"},
        "--seed"},
       {{"check", "--txns", kWriteSkew, "--threads", "2x"}, "--threads"},
+      {{"check", "--txns", kWriteSkew, "--threads", "-1"}, "--threads"},
       {{"check", "--workload", "synthetic:n=12x"}, "n=12x"},
       {{"check", "--workload", "tpcc:w="}, "empty"},
   };
@@ -379,20 +381,219 @@ TEST(CliTest, EngineShardsRequireEngineThreads) {
   EXPECT_EQ(sharded.code, 0) << sharded.err;
 }
 
+std::set<std::string> FlagsIn(const std::string& text) {
+  const std::regex flag_re("--[a-z][a-z0-9-]*");
+  std::set<std::string> flags;
+  for (auto it = std::sregex_iterator(text.begin(), text.end(), flag_re);
+       it != std::sregex_iterator(); ++it) {
+    flags.insert(it->str());
+  }
+  return flags;
+}
+
+bool Declares(const CliCommand& command, const std::string& flag) {
+  const std::vector<std::string> declared = DeclaredFlags(command);
+  return std::find(declared.begin(), declared.end(), flag) != declared.end();
+}
+
+// `--name`, followed by a dummy value when the flag takes one.
+std::vector<std::string> FlagArgs(const std::string& name) {
+  for (const CliFlag& flag : CliFlags()) {
+    if (name == flag.name && flag.takes_value()) return {"--" + name, "1"};
+  }
+  return {"--" + name};
+}
+
+// `mvrob help` is generated from the tables: each command's block lists
+// exactly the flags the command declares, the flags section lists every
+// row, and every flag a command or a rule names is a row.
 TEST(CliTest, FlagTableMatchesHelp) {
   const std::string help = RunTool({"help"}).out;
-  std::set<std::string> in_help;
-  const std::regex flag_re("--[a-z][a-z0-9-]*");
-  for (auto it = std::sregex_iterator(help.begin(), help.end(), flag_re);
-       it != std::sregex_iterator(); ++it) {
-    in_help.insert(it->str());
-  }
+  const size_t rules_at = help.find("\nrules");
+  const size_t flags_at = help.find("\nflags:\n");
+  ASSERT_NE(rules_at, std::string::npos) << help;
+  ASSERT_NE(flags_at, std::string::npos) << help;
+
   std::set<std::string> in_table;
   for (const CliFlag& flag : CliFlags()) {
     EXPECT_TRUE(in_table.insert(StrCat("--", flag.name)).second)
         << "duplicate flag --" << flag.name;
   }
-  EXPECT_EQ(in_help, in_table);
+  EXPECT_EQ(FlagsIn(help.substr(flags_at)), in_table);
+
+  // A command's block runs from its "  <name>" line to the next one.
+  std::map<std::string, std::string> blocks;
+  std::istringstream lines(help.substr(0, rules_at));
+  std::string current;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.starts_with("  ") && line[2] != ' ') {
+      current = line.substr(2, line.find(' ', 2) - 2);
+    } else if (!current.empty()) {
+      blocks[current] += line + "\n";
+    }
+  }
+  std::set<std::string> read_by_some_command;
+  for (const CliCommand& command : CliCommands()) {
+    std::set<std::string> declared;
+    for (const std::string& name : DeclaredFlags(command)) {
+      EXPECT_TRUE(declared.insert("--" + name).second)
+          << command.name << " declares --" << name << " twice";
+      EXPECT_TRUE(in_table.contains("--" + name))
+          << command.name << " declares --" << name << ", not a flag row";
+    }
+    EXPECT_EQ(FlagsIn(blocks[command.name]), declared) << command.name;
+    read_by_some_command.insert(declared.begin(), declared.end());
+  }
+  EXPECT_EQ(read_by_some_command, in_table);
+
+  // A rule only names flags its command reads.
+  for (const CliRule& rule : CliRules()) {
+    const std::string names = StrCat(rule.flags, " ", rule.others);
+    for (const CliCommand& command : CliCommands()) {
+      if (rule.command == nullptr ||
+          rule.command != std::string(command.name)) {
+        continue;
+      }
+      for (const std::string& name : SplitAndTrim(names, ' ')) {
+        EXPECT_TRUE(Declares(command, name))
+            << "rule of " << command.name << " names --" << name;
+      }
+    }
+    for (const std::string& name : SplitAndTrim(names, ' ')) {
+      EXPECT_TRUE(read_by_some_command.contains("--" + name)) << name;
+    }
+  }
+}
+
+// No flag is silently ignored: every command rejects every flag it does
+// not read, naming the flag and the command, before doing anything.
+TEST(CliTest, EveryCommandRejectsFlagsItDoesNotRead) {
+  int rejected = 0;
+  for (const CliCommand& command : CliCommands()) {
+    for (const CliFlag& flag : CliFlags()) {
+      if (Declares(command, flag.name)) continue;
+      std::vector<std::string> args = FlagArgs(flag.name);
+      args.insert(args.begin(), command.name);
+      CliResult result = RunTool(args);
+      SCOPED_TRACE(Join(args, " "));
+      EXPECT_EQ(result.code, 1);
+      EXPECT_EQ(result.out, "");
+      EXPECT_NE(result.err.find(StrCat("InvalidArgument: ", command.name,
+                                       " does not read --", flag.name)),
+                std::string::npos)
+          << result.err;
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 400);
+}
+
+// Each presence rule fires: a flag whose required partner is missing, or
+// which is given with an excluded one, fails naming both flags; a command
+// missing a flag it requires names itself and the flag. The other flags a
+// command requires are given, so that only the rule under test can fire.
+TEST(CliTest, EveryPresenceRuleFires) {
+  int fired = 0;
+  for (const CliRule& rule : CliRules()) {
+    for (const CliCommand& command : CliCommands()) {
+      if (!CliRuleApplies(rule, command)) continue;
+      std::vector<std::string> flags = SplitAndTrim(rule.flags, ' ');
+      if (flags.empty()) flags = {""};
+      const std::vector<std::string> others = SplitAndTrim(rule.others, ' ');
+      std::vector<std::string> partners = {""};
+      if (rule.kind == CliRuleKind::kExcludes) partners = others;
+      for (const std::string& name : flags) {
+        for (const std::string& partner : partners) {
+          std::vector<std::string> given = {name, partner};
+          for (const CliRule& required : CliRules()) {
+            const std::vector<std::string> any_of =
+                SplitAndTrim(required.others, ' ');
+            if (&required == &rule || *required.flags != '\0' ||
+                !CliRuleApplies(required, command) ||
+                std::find_first_of(any_of.begin(), any_of.end(),
+                                   given.begin(), given.end()) !=
+                    any_of.end()) {
+              continue;
+            }
+            given.push_back(any_of.front());
+          }
+          std::vector<std::string> args = {command.name};
+          for (const std::string& flag : given) {
+            if (flag.empty()) continue;
+            std::vector<std::string> more = FlagArgs(flag);
+            args.insert(args.end(), more.begin(), more.end());
+          }
+          const std::string subject =
+              name.empty() ? std::string(command.name) : "--" + name;
+          const std::string needle =
+              rule.kind == CliRuleKind::kExcludes
+                  ? StrCat(subject, " does not apply with --", partner)
+                  : StrCat(subject, " requires --", others.front());
+          CliResult result = RunTool(args);
+          SCOPED_TRACE(Join(args, " "));
+          EXPECT_EQ(result.code, 1);
+          EXPECT_EQ(result.out, "");
+          EXPECT_NE(result.err.find("InvalidArgument: " + needle),
+                    std::string::npos)
+              << result.err;
+          ++fired;
+        }
+      }
+    }
+  }
+  EXPECT_GT(fired, 40);
+}
+
+// Invocations that used to run while ignoring a flag.
+TEST(CliTest, RejectsFlagsTheCommandWouldIgnore) {
+  const char* kTemplates = "domain N 2\nA(n:N): R[x_$n] W[y_$n]";
+  struct Case {
+    std::vector<std::string> args;
+    const char* needle;
+  };
+  const Case cases[] = {
+      {{"allocate", "--workload", "auction", "--port", "5", "--adapt",
+        "--copies", "3"},
+       "allocate does not read --port"},
+      {{"allocate", "--txns", kWriteSkew, "--alloc", "T1=RC"},
+       "allocate does not read --alloc"},
+      {{"templates", "--templates", kTemplates, "--witness-dot", "f"},
+       "templates does not read --witness-dot"},
+      {{"validate", "--txns", kWriteSkew, "--record-schedule", "f"},
+       "validate does not read --record-schedule"},
+      {{"validate", "--txns", kWriteSkew, "--trace-sample", "1"},
+       "validate does not read --trace-sample"},
+      {{"census", "--txns", kWriteSkew, "--threads", "4"},
+       "census does not read --threads"},
+      {{"promote", "--txns", kWriteSkew, "--default", "SSI"},
+       "--default requires --target"},
+      {{"promote", "--txns", kWriteSkew, "--seed", "3"},
+       "--seed requires --validate-runs"},
+      {{"promote", "--txns", kWriteSkew, "--concurrency", "8"},
+       "--concurrency requires --validate-runs"},
+      {{"templates", "--templates", kTemplates, "--seed", "3"},
+       "--seed requires --validate-runs"},
+      {{"serve", "--txns", kWriteSkew, "--adapt-budget", "2"},
+       "--adapt-budget requires --adapt"},
+      {{"serve", "--txns", kWriteSkew, "--metrics-interval", "1"},
+       "serve does not read --metrics-interval"},
+      {{"check", "--txns", kWriteSkew, "--workload", "auction"},
+       "--txns does not apply with --workload"},
+      {{"check", "--txns", kWriteSkew, "--json", "--json"},
+       "--json is given twice"},
+      {{"help", "--json"}, "help does not read --json"},
+  };
+  for (const Case& c : cases) {
+    CliResult result = RunTool(c.args);
+    SCOPED_TRACE(Join(c.args, " "));
+    EXPECT_EQ(result.code, 1);
+    EXPECT_EQ(result.out, "");
+    EXPECT_NE(result.err.find(c.needle), std::string::npos) << result.err;
+  }
+  // With their partners the same flags are read.
+  CliResult target = RunTool({"promote", "--txns", kWriteSkew, "--target",
+                              "T1=SSI", "--default", "SSI"});
+  EXPECT_EQ(target.code, 0) << target.err;
 }
 
 TEST(CliTest, StatsJsonAndTraceOutAreWritten) {

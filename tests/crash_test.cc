@@ -2,10 +2,12 @@
 
 #include <dirent.h>
 #include <signal.h>
+#include <sys/mman.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -46,6 +48,47 @@ std::string ReadFile(const std::string& path) {
   std::ostringstream text;
   text << file.rdbuf();
   return text.str();
+}
+
+// Defined first so that, when the whole binary runs in one process, the
+// forked child still starts with the recorder uninstalled.
+TEST(CrashTest, InstallKeepsTheThreadsOwnAlternateStack) {
+  const std::string dir = MakeTempDir();
+  ASSERT_FALSE(dir.empty());
+  constexpr int kAlreadyInstalled = 80;
+  for (const bool own_stack : {true, false}) {
+    SCOPED_TRACE(own_stack ? "own stack" : "no stack");
+    const pid_t child = fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+      // A thread-owned, mmap'd alternate stack, as the ASan runtime gives
+      // each thread (and munmaps at thread exit); or none at all.
+      if (CrashRecorderInstalled()) _exit(kAlreadyInstalled);
+      constexpr size_t kSize = 64 * 1024;
+      void* stack = mmap(nullptr, kSize, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      if (stack == MAP_FAILED) _exit(90);
+      stack_t ss;
+      memset(&ss, 0, sizeof(ss));
+      ss.ss_sp = stack;
+      ss.ss_size = kSize;
+      if (!own_stack) ss.ss_flags = SS_DISABLE;
+      if (sigaltstack(&ss, nullptr) != 0) _exit(91);
+      if (!InstallCrashRecorder({.directory = dir}).ok()) _exit(92);
+      stack_t now;
+      if (sigaltstack(nullptr, &now) != 0) _exit(93);
+      if (own_stack) _exit(now.ss_sp == stack ? 0 : 94);
+      // Without one, the recorder installs its own.
+      _exit((now.ss_flags & SS_DISABLE) == 0 ? 0 : 95);
+    }
+    int status = 0;
+    ASSERT_EQ(waitpid(child, &status, 0), child);
+    ASSERT_TRUE(WIFEXITED(status)) << "status " << status;
+    if (WEXITSTATUS(status) == kAlreadyInstalled) {
+      GTEST_SKIP() << "recorder already installed in this process";
+    }
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+  }
 }
 
 TEST(CrashTest, InstallPrecomputesThePath) {

@@ -1,19 +1,23 @@
 #!/usr/bin/env python3
 """Docs gate: keep the documentation true.
 
-Four checks, all against the real tree and the real binary:
+Five checks, all against the real tree and the real binary:
 
   1. flags    — every `--flag` token mentioned in docs/cli.md must appear
                 in `mvrob --help` (docs cannot advertise flags that do
                 not exist).
-  2. links    — every relative link in every *.md file of the repo must
+  2. invocations — every `mvrob <command> ...` line in the fenced blocks
+                of docs/*.md and README.md passes only flags that
+                `mvrob --help` lists under <command> (the command table
+                the parser enforces).
+  3. links    — every relative link in every *.md file of the repo must
                 resolve to an existing file (anchors are stripped).
-  3. tutorial — docs/tutorial.md is executable: each ```sh block is run
+  4. tutorial — docs/tutorial.md is executable: each ```sh block is run
                 in a scratch directory (with `mvrob` on PATH) and, when a
                 ```text block immediately follows, every line of it must
                 appear in the actual output, in order. The tutorial's
                 output blocks are real output by construction.
-  4. templates — every fenced block of docs/templates.md whose first line
+  5. templates — every fenced block of docs/templates.md whose first line
                 starts with `version` is a template set, and must exit 0
                 under `mvrob templates --templates @file`.
 
@@ -21,8 +25,10 @@ Usage: tools/check_docs.py [path/to/mvrob]   (default build/tools/mvrob)
 Exit 0 when all checks pass, 1 otherwise.
 """
 
+import glob
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -54,6 +60,75 @@ def check_flags(mvrob):
     print(f"ok flags: {len(documented)} documented flags all exist")
 
 
+INVOKE_RE = re.compile(r"(?:^|\s)(?:\S*/)?mvrob\s+([a-z]+)(.*)", re.S)
+
+
+def command_flags(help_text):
+    """{command: its --flags}, from the command blocks of `mvrob --help`."""
+    commands, current = {}, None
+    for line in help_text.split("\nrules")[0].splitlines():
+        m = re.match(r"  ([a-z]+)(\s|$)", line)
+        if m:
+            current = m.group(1)
+            commands[current] = set()
+        elif current:
+            commands[current] |= set(FLAG_RE.findall(line))
+    return commands
+
+
+def shell_lines(body):
+    """A fenced block's commands, with continued and quoted lines joined."""
+    lines, current, quote, comment = [], "", None, False
+    for ch in "\n".join(body).replace("\\\n", " "):
+        if quote is None and ch == "\n":
+            lines.append(current)
+            current, comment = "", False
+        elif comment:
+            continue
+        elif quote is None and ch == "#" and current[-1:] in ("", " "):
+            comment = True
+        else:
+            if ch in "'\"" and quote in (None, ch):
+                quote = None if quote else ch
+            current += ch
+    return lines + [current]
+
+
+def check_invocations(mvrob):
+    help_text = subprocess.run(
+        [mvrob, "--help"], capture_output=True, text=True
+    ).stdout
+    declared = command_flags(help_text)
+    docs = sorted(glob.glob(os.path.join(REPO, "docs", "*.md")))
+    checked = 0
+    for path in docs + [os.path.join(REPO, "README.md")]:
+        rel = os.path.relpath(path, REPO)
+        for _, body in fenced_blocks(path):
+            for line in shell_lines(body):
+                m = INVOKE_RE.search(line)
+                if not m or m.group(1) not in declared:
+                    continue  # Prose such as "mvrob crash flight recorder".
+                command = m.group(1)
+                lexer = shlex.shlex(m.group(2), posix=True,
+                                    punctuation_chars=True)
+                lexer.whitespace_split = True
+                try:
+                    tokens = list(lexer)
+                except ValueError as e:
+                    fail(f"invocations: {rel}: cannot split `{line}`: {e}")
+                    continue
+                checked += 1
+                for token in tokens:
+                    if set(token) <= set("|&;<>()"):
+                        break  # The rest belongs to the next command.
+                    if (token.startswith("--")
+                            and token not in declared[command]):
+                        fail(f"invocations: {rel}: `mvrob {command}` does "
+                             f"not read {token}")
+    print(f"ok invocations: {checked} mvrob invocations pass only flags "
+          f"their command reads")
+
+
 def markdown_files():
     for root, dirs, files in os.walk(REPO):
         dirs[:] = [
@@ -82,9 +157,9 @@ def check_links():
     print(f"ok links: {checked} relative links resolve")
 
 
-def fenced_blocks(doc):
-    """The (lang, [lines]) fenced blocks of docs/<doc>, in order."""
-    lines = open(os.path.join(REPO, "docs", doc)).read().splitlines()
+def fenced_blocks(path):
+    """The (lang, [lines]) fenced blocks of the markdown file, in order."""
+    lines = open(path).read().splitlines()
     blocks = []
     i = 0
     while i < len(lines):
@@ -102,7 +177,7 @@ def fenced_blocks(doc):
 
 def tutorial_blocks():
     """Yield (sh_lines, expected_text_lines_or_None) pairs."""
-    blocks = fenced_blocks("tutorial.md")
+    blocks = fenced_blocks(os.path.join(REPO, "docs", "tutorial.md"))
     for j, (lang, body) in enumerate(blocks):
         if lang != "sh":
             continue
@@ -150,7 +225,8 @@ def check_tutorial(mvrob):
 def check_template_blocks(mvrob):
     workdir = tempfile.mkdtemp(prefix="mvrob-docs-tpl-")
     ran = 0
-    for j, (_, body) in enumerate(fenced_blocks("templates.md")):
+    for j, (_, body) in enumerate(
+            fenced_blocks(os.path.join(REPO, "docs", "templates.md"))):
         if not body or not body[0].startswith("version"):
             continue
         path = os.path.join(workdir, f"block{j}.tpl")
@@ -175,6 +251,7 @@ def main():
         print(f"FAIL no mvrob binary at {mvrob} (build first)")
         return 1
     check_flags(mvrob)
+    check_invocations(mvrob)
     check_links()
     check_tutorial(mvrob)
     check_template_blocks(mvrob)
