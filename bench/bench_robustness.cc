@@ -199,7 +199,7 @@ BENCHMARK(BM_BitsetAnalyzer_ReadersWriters)->Arg(64)->Arg(256)->Arg(1024)
 // ---- Sequential-vs-parallel: the bitset engine's t1 loop over the thread
 // pool. range(0) = |T|, range(1) = num_threads. On a machine with a single
 // core the pool degrades to the sequential path and the curve is flat;
-// tools/bench_to_json.sh records whatever the hardware provides.
+// tools/bench.sh records whatever the hardware provides.
 
 void BM_ParallelCheck(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -130,8 +130,9 @@ constexpr CliFlag kFlags[] = {
      "off (default info; env MVROB_LOG_LEVEL)"},
     {"profile-hz", kInt, "<n>", 0, 1000,
      "sampling CPU profiler rate, samples per second of on-CPU time per "
-     "thread (default 0 = off; serve exposes the live profile at "
-     "/debug/pprof and as mvrob_profile_* series)"},
+     "thread (default 0 = off; requires --profile-out or --stats-json, "
+     "except under serve, which exposes the live profile at /debug/pprof "
+     "and as mvrob_profile_* series)"},
     {"profile-out", kText, "<file>", 0, 0,
      "write the aggregate folded-stack profile here when the command "
      "finishes (implies --profile-hz 97 when the rate is unset; render with "
@@ -1169,6 +1170,11 @@ int CmdPromote(const CliInvocation& cli) {
     // or a bare level name for a uniform target.
     const std::string spec = cli.Get("target");
     StatusOr<IsolationLevel> uniform = ParseIsolationLevel(spec);
+    if (uniform.ok() && cli.Has("default")) {
+      return Status::InvalidArgument(StrCat(
+          "--default does not apply with --target ", spec,
+          ": a bare level covers every transaction"));
+    }
     if (uniform.ok()) {
       return PromoteForTarget(*txns, Allocation(txns->size(), *uniform),
                               options);
@@ -1444,6 +1450,13 @@ int RunCli(const std::vector<std::string>& args, std::istream& in,
   cli.profile_hz = cli.Int("profile-hz", 0);
   if (cli.profile_hz == 0 && !profile_out.empty()) {
     cli.profile_hz = ProfilerOptions().hz;
+  }
+  // Outside serve (whose /debug/pprof reads the live profile), samples
+  // land only in --profile-out and the --stats-json gauges.
+  if (run_flags && cli.Has("profile-hz") && profile_out.empty() &&
+      !cli.Has("stats-json")) {
+    return Fail(err, Status::InvalidArgument(
+                         "--profile-hz requires --profile-out or --stats-json"));
   }
 
   // --stats-json / --trace-out turn on metrics collection for the whole

@@ -567,6 +567,14 @@ TEST(CliTest, RejectsFlagsTheCommandWouldIgnore) {
        "census does not read --threads"},
       {{"promote", "--txns", kWriteSkew, "--default", "SSI"},
        "--default requires --target"},
+      {{"promote", "--txns", kWriteSkew, "--target", "RC", "--default",
+        "SSI"},
+       "--default does not apply with --target RC"},
+      {{"check", "--txns", kWriteSkew, "--profile-hz", "97"},
+       "--profile-hz requires --profile-out or --stats-json"},
+      {{"simulate", "--txns", kWriteSkew, "--profile-hz", "97",
+        "--trace-out", "f"},
+       "--profile-hz requires --profile-out or --stats-json"},
       {{"promote", "--txns", kWriteSkew, "--seed", "3"},
        "--seed requires --validate-runs"},
       {{"promote", "--txns", kWriteSkew, "--concurrency", "8"},
@@ -594,6 +602,15 @@ TEST(CliTest, RejectsFlagsTheCommandWouldIgnore) {
   CliResult target = RunTool({"promote", "--txns", kWriteSkew, "--target",
                               "T1=SSI", "--default", "SSI"});
   EXPECT_EQ(target.code, 0) << target.err;
+  std::string stats_path = ::testing::TempDir() + "/mvrob_profile_stats.json";
+  CliResult profiled = RunTool({"check", "--txns", kWriteSkew, "--profile-hz",
+                                "97", "--stats-json", stats_path});
+  EXPECT_EQ(profiled.code, 0) << profiled.err;
+  std::remove(stats_path.c_str());
+  // serve reads the samples at /debug/pprof, so the rate alone is read.
+  CliResult serve = RunTool({"serve", "--txns", kWriteSkew, "--port", "0",
+                             "--profile-hz", "97", "--duration", "1"});
+  EXPECT_EQ(serve.code, 0) << serve.err;
 }
 
 TEST(CliTest, StatsJsonAndTraceOutAreWritten) {

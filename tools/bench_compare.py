@@ -1,19 +1,22 @@
 #!/usr/bin/env python3
 """Bench-regression gate: diff a fresh benchmark JSON (BENCH_robustness,
-BENCH_promotion, ...) against the committed baseline.
+BENCH_promotion, ...) against the committed baseline. tools/bench.sh
+runs it once per gated suite.
 
 Two kinds of checks, reflecting the two kinds of numbers in the file:
 
  - per-benchmark cpu_time ratios (fresh / baseline) against a threshold
-   (default 2.0x, overridable with --threshold or MVROB_BENCH_THRESHOLD).
-   Timings are machine-dependent, so the gate is deliberately loose: it
-   catches algorithmic regressions (a 10x blowup), not noise;
+   (default 2.0x, --threshold). Timings are machine-dependent, so the
+   gate is deliberately loose: it catches algorithmic regressions (a 10x
+   blowup), not noise;
  - machine-INDEPENDENT outcome numbers, which must match exactly:
    the audited work counter analyzer.triples_examined from the embedded
    metrics snapshot (the scan contract of core/robustness.h), and the
    promotion-outcome counters (before_weighted, after_weighted,
    promotions) that BM_OptimizePromotions attaches to its rows — a
-   changed allocation cost is a behavior change, not noise.
+   changed allocation cost is a behavior change, not noise. An exact
+   counter on only one side fails too: a check the baseline cannot
+   answer is re-recorded, never skipped.
 
 A benchmark present in the baseline but missing from the fresh run fails
 the gate (silently dropping a benchmark is how regressions hide); new
@@ -27,16 +30,16 @@ and the rows of one family are grouped into a throughput-vs-threads
 curve. --min-speedup PATTERN=X (repeatable) asserts that, in the FRESH
 run, every matching curve speeds up at least X-fold from its lowest to
 its highest thread count — the acceptance gate for the many-core engine,
-only meaningful on a machine with that many cores (ci.sh guards it with
-nproc).
+only meaningful on a machine with that many cores (tools/bench.sh guards
+it with nproc).
 
 usage: bench_compare.py <fresh.json> <baseline.json> [--threshold X]
                         [--warn-only] [--update]
                         [--min-speedup PATTERN=X ...]
 
 --update writes the fresh results over the baseline (seeding or refreshing
-it) and exits 0. --warn-only reports regressions but exits 0; ci.sh uses
-it for the seeding run and MVROB_BENCH_GATE=warn.
+it) and exits 0. --warn-only reports regressions but exits 0;
+tools/bench.sh passes it under MVROB_BENCH_GATE=warn.
 """
 
 import argparse
@@ -56,34 +59,40 @@ def load(path):
         return json.load(f)
 
 
+# Google Benchmark's time_unit values, in nanoseconds.
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+
+def runs(doc):
+    """The benchmark rows of doc, without aggregate rows."""
+    return [bench for bench in doc.get("benchmarks", [])
+            if bench.get("run_type") != "aggregate"]
+
+
+def nanoseconds(bench, metric):
+    return float(bench[metric]) * NS_PER_UNIT[bench.get("time_unit", "ns")]
+
+
 def benchmark_times(doc):
-    """name -> time (ns), skipping aggregate rows.
+    """name -> time (ns).
 
     Scaling rows (/threads:N suffix) are compared on real_time; everything
     else on cpu_time.
     """
-    times = {}
-    for bench in doc.get("benchmarks", []):
-        if bench.get("run_type") == "aggregate":
-            continue
-        metric = "real_time" if THREADS_SUFFIX.match(bench["name"]) \
-            else "cpu_time"
-        times[bench["name"]] = float(bench[metric])
-    return times
+    return {bench["name"]: nanoseconds(
+                bench, "real_time" if THREADS_SUFFIX.match(bench["name"])
+                else "cpu_time")
+            for bench in runs(doc)}
 
 
 def scaling_curves(doc):
     """family -> {threads: real_time (ns)} for /threads:N benchmarks."""
     curves = {}
-    for bench in doc.get("benchmarks", []):
-        if bench.get("run_type") == "aggregate":
-            continue
+    for bench in runs(doc):
         match = THREADS_SUFFIX.match(bench["name"])
-        if not match:
-            continue
-        family = match.group("family")
-        curves.setdefault(family, {})[int(match.group("n"))] = \
-            float(bench["real_time"])
+        if match:
+            curves.setdefault(match.group("family"), {})[
+                int(match.group("n"))] = nanoseconds(bench, "real_time")
     return curves
 
 
@@ -115,29 +124,26 @@ def check_min_speedups(curves, requirements):
     return failures
 
 
-# Benchmark counters that are deterministic outcomes of the code under
-# benchmark (not timings): compared exactly when present in the baseline.
+# Row counters that are deterministic outcomes of the code under benchmark
+# (not timings), and the one exact number of the metrics snapshot.
 EXACT_COUNTERS = ("before_weighted", "after_weighted", "promotions")
+METRICS_ROW = "mvrob_metrics"
+METRICS_COUNTER = "analyzer.triples_examined"
 
 
-def outcome_counters(doc):
-    """name -> {counter: value} for the exact-checked counters."""
-    outcomes = {}
-    for bench in doc.get("benchmarks", []):
-        if bench.get("run_type") == "aggregate":
-            continue
-        exact = {key: bench[key] for key in EXACT_COUNTERS if key in bench}
-        if exact:
-            outcomes[bench["name"]] = exact
-    return outcomes
-
-
-def triples_examined(doc):
+def exact_counters(doc):
+    """(row, counter) -> value for every exactly-compared number in doc."""
+    exact = {}
+    for bench in runs(doc):
+        for key in EXACT_COUNTERS:
+            if key in bench:
+                exact[(bench["name"], key)] = bench[key]
     try:
-        counters = doc["mvrob_metrics"]["snapshot"]["counters"]
-        return int(counters["analyzer.triples_examined"])
+        counters = doc[METRICS_ROW]["snapshot"]["counters"]
+        exact[(METRICS_ROW, METRICS_COUNTER)] = int(counters[METRICS_COUNTER])
     except (KeyError, TypeError):
-        return None
+        pass
+    return exact
 
 
 def main():
@@ -145,11 +151,8 @@ def main():
     parser.add_argument("fresh")
     parser.add_argument("baseline")
     parser.add_argument(
-        "--threshold",
-        type=float,
-        default=float(os.environ.get("MVROB_BENCH_THRESHOLD", "2.0")),
-        help="max allowed cpu_time ratio fresh/baseline (default 2.0)",
-    )
+        "--threshold", type=float, default=2.0,
+        help="max allowed cpu_time ratio fresh/baseline (default 2.0)")
     parser.add_argument("--warn-only", action="store_true",
                         help="report regressions but exit 0")
     parser.add_argument("--update", action="store_true",
@@ -198,40 +201,30 @@ def main():
         print(f"  {marker:>10}  {ratio:6.2f}x  {name}")
         if ratio > args.threshold:
             failures.append(
-                f"{name}: cpu_time {fresh_times[name]:.0f}ns vs baseline "
+                f"{name}: {fresh_times[name]:.0f}ns vs baseline "
                 f"{base_time:.0f}ns ({ratio:.2f}x > {args.threshold:.2f}x)")
     for name in sorted(set(fresh_times) - set(baseline_times)):
         print(f"  {'new':>10}  {'':>7}  {name}")
 
-    fresh_outcomes = outcome_counters(fresh)
-    for name, base_exact in sorted(outcome_counters(baseline).items()):
-        fresh_exact = fresh_outcomes.get(name)
-        if fresh_exact is None:
-            # Already reported as a disappeared benchmark above.
-            continue
-        for key, base_value in sorted(base_exact.items()):
-            fresh_value = fresh_exact.get(key)
-            if fresh_value != base_value:
-                failures.append(
-                    f"{name}: {key} changed: {fresh_value} vs baseline "
-                    f"{base_value} — promotion outcomes are machine-"
-                    "independent, so this is a behavior change, not noise")
-            else:
-                print(f"  {'ok':>10}  {'exact':>7}  {name}:{key} = "
-                      f"{base_value}")
-
-    fresh_triples = triples_examined(fresh)
-    base_triples = triples_examined(baseline)
-    if base_triples is not None:
-        if fresh_triples != base_triples:
+    fresh_exact = exact_counters(fresh)
+    base_exact = exact_counters(baseline)
+    for row, key in sorted(fresh_exact.keys() | base_exact.keys()):
+        if row != METRICS_ROW and row not in fresh_times:
+            continue  # Already reported as a disappeared benchmark above.
+        fresh_value = fresh_exact.get((row, key))
+        base_value = base_exact.get((row, key))
+        if fresh_value == base_value:
+            print(f"  {'ok':>10}  {'exact':>7}  {row}:{key} = {base_value}")
+        elif base_value is None:
             failures.append(
-                "analyzer.triples_examined changed: "
-                f"{fresh_triples} vs baseline {base_triples} — the audited "
-                "scan contract is machine-independent, so this is a "
-                "behavior change, not noise")
+                f"{row}: {key} = {fresh_value} has no baseline value — exact "
+                "counters are compared, never skipped; re-record the "
+                "baseline")
         else:
-            print(f"  {'ok':>10}  {'exact':>7}  "
-                  f"analyzer.triples_examined = {base_triples}")
+            failures.append(
+                f"{row}: {key} changed: {fresh_value} vs baseline "
+                f"{base_value} — it is machine-independent, so this is a "
+                "behavior change, not noise")
 
     curves = scaling_curves(fresh)
     for family, curve in sorted(curves.items()):

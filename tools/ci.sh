@@ -364,11 +364,13 @@ rm -f "$PROFILE_PORT_FILE" "$PROFILE_SERVE_OUT" "$PROFILE_FOLDED" "$PROFILE_SVG"
 
 echo "==== numeric-flag rejection smoke ===="
 # A flag the command does not read, or one missing its partner flag, is
-# rejected too (the command table in src/cli/cli.cc).
+# rejected too (the command table in src/cli/cli.cc), and so is
+# --profile-hz without --profile-out or --stats-json, where the samples
+# would go nowhere.
 for bad in "census --max abc" "simulate --runs 12x" "simulate --seed -1" \
     "simulate --engine-thread 4" "simulate --engine-shards 8" \
     "check --threads -1" "allocate --port 5" "census --threads 4" \
-    "promote --default SSI"; do
+    "promote --default SSI" "check --profile-hz 97"; do
   if build/tools/mvrob $bad --workload tpcc:w=2,d=2 >/dev/null 2>&1; then
     echo "error: 'mvrob $bad' should have failed" >&2
     exit 1
@@ -376,8 +378,10 @@ for bad in "census --max abc" "simulate --runs 12x" "simulate --seed -1" \
 done
 # The bounded allocate modes print one line of text: the free mode's
 # output flags are rejected there, and a pin above SI under --rcsi is an
-# empty box. Their check options still apply.
-for bad in "allocate --rcsi --json" "allocate --rcsi --pin T1=SSI"; do
+# empty box. Their check options still apply. A reachable bare-level
+# promote target is rejected for its --default alone.
+for bad in "allocate --rcsi --json" "allocate --rcsi --pin T1=SSI" \
+    "promote --target RC --default SSI"; do
   if build/tools/mvrob $bad --txns 'T1: R[x] W[x]' >/dev/null 2>&1; then
     echo "error: 'mvrob $bad' should have failed" >&2
     exit 1
@@ -578,102 +582,12 @@ echo "==== docs gate (flags + invocations + links + tutorial smoke + template bl
 # and every template set in docs/templates.md runs through `templates`.
 python3 tools/check_docs.py build/tools/mvrob
 
-echo "==== bench-regression gate ===="
-# Fresh benchmark run diffed against the committed baseline
-# (bench/baselines/). Warn-only when seeding a missing baseline or with
-# MVROB_BENCH_GATE=warn; hard-fails otherwise.
-BASELINE="bench/baselines/BENCH_robustness.baseline.json"
-FRESH_BENCH="$(mktemp)"
-tools/bench_to_json.sh build "$FRESH_BENCH"
-if [[ ! -f "$BASELINE" ]]; then
-  echo "no baseline at $BASELINE — seeding from this run"
-  python3 tools/bench_compare.py "$FRESH_BENCH" "$BASELINE" --update
-elif [[ "${MVROB_BENCH_GATE:-fail}" == "warn" ]]; then
-  python3 tools/bench_compare.py "$FRESH_BENCH" "$BASELINE" --warn-only
-else
-  python3 tools/bench_compare.py "$FRESH_BENCH" "$BASELINE"
-fi
-rm -f "$FRESH_BENCH"
-
-echo "==== many-core scaling bench gate ===="
-# Throughput-vs-threads curves of the concurrent MVCC engine, grouped by
-# the /threads:N name suffix and compared on real_time. The >=3x speedup
-# assertion (8 threads vs 1, low-contention YCSB under RC) only holds on
-# a machine that actually has 8 cores, so it is gated on nproc. The
-# per-row ratio threshold is looser than the default 2.0x: real_time of
-# thread counts above the core count is scheduling-noise-dominated
-# (8 workers time-slicing one core swing >2x run to run), and the curve
-# shape is what the speedup assertion checks.
-# The whole sweep runs under a wall-clock timeout: a pathological row must
-# fail the gate, never hang CI.
-SCALING_THRESHOLD=4.0
-SCALING_TIMEOUT_S=600
-SCALING_BASELINE="bench/baselines/BENCH_mvcc_scaling.baseline.json"
-FRESH_SCALING="$(mktemp)"
-timeout "$SCALING_TIMEOUT_S" build/bench/bench_mvcc_scaling \
-  --benchmark_format=json \
-  --benchmark_out_format=json \
-  --benchmark_out="$FRESH_SCALING" \
-  --benchmark_min_time=0.1 >/dev/null || {
-  echo "error: bench_mvcc_scaling failed or exceeded ${SCALING_TIMEOUT_S}s" >&2
-  exit 1
-}
-SPEEDUP_ARGS=()
-if [[ "$(nproc)" -ge 8 ]]; then
-  SPEEDUP_ARGS=(--min-speedup 'BM_MvccScaling/RC_low=3.0')
-else
-  echo "note: $(nproc) core(s) < 8 — skipping the scaling speedup assertion"
-fi
-if [[ ! -f "$SCALING_BASELINE" ]]; then
-  echo "no baseline at $SCALING_BASELINE — seeding from this run"
-  python3 tools/bench_compare.py "$FRESH_SCALING" "$SCALING_BASELINE" --update
-  python3 tools/bench_compare.py "$FRESH_SCALING" "$SCALING_BASELINE" \
-    --threshold "$SCALING_THRESHOLD" --warn-only "${SPEEDUP_ARGS[@]}"
-elif [[ "${MVROB_BENCH_GATE:-fail}" == "warn" ]]; then
-  python3 tools/bench_compare.py "$FRESH_SCALING" "$SCALING_BASELINE" \
-    --threshold "$SCALING_THRESHOLD" --warn-only "${SPEEDUP_ARGS[@]}"
-else
-  python3 tools/bench_compare.py "$FRESH_SCALING" "$SCALING_BASELINE" \
-    --threshold "$SCALING_THRESHOLD" "${SPEEDUP_ARGS[@]}"
-fi
-rm -f "$FRESH_SCALING"
-
-echo "==== promotion bench gate ===="
-# Same machinery for the promotion benchmarks; the BM_OptimizePromotions
-# outcome counters (before/after weighted cost, promotion count) are
-# machine-independent and compared exactly.
-PROMO_BASELINE="bench/baselines/BENCH_promotion.baseline.json"
-FRESH_PROMO="$(mktemp)"
-tools/bench_promotion_to_json.sh build "$FRESH_PROMO"
-if [[ ! -f "$PROMO_BASELINE" ]]; then
-  echo "no baseline at $PROMO_BASELINE — seeding from this run"
-  python3 tools/bench_compare.py "$FRESH_PROMO" "$PROMO_BASELINE" --update
-elif [[ "${MVROB_BENCH_GATE:-fail}" == "warn" ]]; then
-  python3 tools/bench_compare.py "$FRESH_PROMO" "$PROMO_BASELINE" --warn-only
-else
-  python3 tools/bench_compare.py "$FRESH_PROMO" "$PROMO_BASELINE"
-fi
-rm -f "$FRESH_PROMO"
-
-echo "==== template bench gate ===="
-# Same machinery for the template benchmarks; the
-# BM_Template_ConstraintShowcase outcome counters (weighted cost under
-# the distinct-parameter rule vs the declared constraints, promotion
-# count) are machine-independent and compared exactly.
-TEMPLATES_BASELINE="bench/baselines/BENCH_templates.baseline.json"
-FRESH_TEMPLATES="$(mktemp)"
-tools/bench_templates_to_json.sh build "$FRESH_TEMPLATES"
-if [[ ! -f "$TEMPLATES_BASELINE" ]]; then
-  echo "no baseline at $TEMPLATES_BASELINE — seeding from this run"
-  python3 tools/bench_compare.py "$FRESH_TEMPLATES" "$TEMPLATES_BASELINE" \
-    --update
-elif [[ "${MVROB_BENCH_GATE:-fail}" == "warn" ]]; then
-  python3 tools/bench_compare.py "$FRESH_TEMPLATES" "$TEMPLATES_BASELINE" \
-    --warn-only
-else
-  python3 tools/bench_compare.py "$FRESH_TEMPLATES" "$TEMPLATES_BASELINE"
-fi
-rm -f "$FRESH_TEMPLATES"
+echo "==== bench-regression gate (every Google-benchmark suite) ===="
+# Each gated suite runs under one wall-clock bound and is diffed against
+# its committed baseline in bench/baselines/ (tools/bench.sh): timing
+# ratios against a loose threshold, exact machine-independent counters.
+# A missing baseline fails; MVROB_BENCH_GATE=warn downgrades regressions.
+tools/bench.sh build
 
 echo "==== benchmark determinism self-test (perfbench) ===="
 # Builds the benchmark harness (.bench_build/perfbench) and checks that
