@@ -5,9 +5,14 @@
 // allocations plus a mixed one.
 #include <benchmark/benchmark.h>
 
+#include <string>
+
+#include "common/metrics.h"
 #include "core/analyzer.h"
+#include "core/optimal_allocation.h"
 #include "core/robustness.h"
 #include "oracle/reference_checker.h"
+#include "workloads/registry.h"
 #include "workloads/synthetic.h"
 
 namespace mvrob {
@@ -220,6 +225,40 @@ BENCHMARK(BM_ParallelCheck)
     ->Args({256, 1})->Args({256, 2})->Args({256, 4})->Args({256, 8})
     ->Args({1024, 1})->Args({1024, 2})->Args({1024, 4})->Args({1024, 8})
     ->Unit(benchmark::kMicrosecond);
+
+// Algorithm 2 on YCSB-A (Zipfian keys, half reads, half read-modify-
+// writes) at n = 1024 and 2048 on one thread, on a fresh analyzer per run
+// as `mvrob allocate` does: build, pivot components and delta probes.
+// core.checks (robustness checks run) and analyzer.delta_triples_examined
+// (triples the delta probes cover) come from one instrumented run before
+// the timed ones; they are exact work counters, so an algorithmic change
+// shows on any host.
+void BM_Allocation_YcsbA(benchmark::State& state) {
+  const std::string spec = "ycsb:a,n=" + std::to_string(state.range(0));
+  StatusOr<Workload> workload = MakeNamedWorkload(spec);
+  if (!workload.ok()) {
+    state.SkipWithError(workload.status().ToString().c_str());
+    return;
+  }
+  const TransactionSet& txns = workload->txns;
+  CheckOptions options;
+  options.num_threads = 1;
+  MetricsRegistry registry;
+  CheckOptions instrumented = options;
+  instrumented.metrics = &registry;
+  const OptimalAllocationResult counted =
+      ComputeOptimalAllocation(txns, instrumented);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ComputeOptimalAllocation(txns, options));
+  }
+  state.counters["txns"] = static_cast<double>(txns.size());
+  state.counters["core.checks"] =
+      static_cast<double>(counted.robustness_checks);
+  state.counters["analyzer.delta_triples_examined"] = static_cast<double>(
+      registry.counter("analyzer.delta_triples_examined").value());
+}
+BENCHMARK(BM_Allocation_YcsbA)->Arg(1024)->Arg(2048)
+    ->Unit(benchmark::kMillisecond);
 
 // Construction cost of the analyzer (amortized over Algorithm 2's 2|T|
 // checks).

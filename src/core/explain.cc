@@ -51,6 +51,7 @@ StatusOr<AllocationExplanation> ExplainAllocation(
   }
   AllocationExplanation explanation;
   explanation.allocation = allocation;
+  DeltaBase prepared(allocation);
   for (TxnId t = 0; t < txns.size(); ++t) {
     AllocationObstacle entry;
     entry.txn = t;
@@ -58,8 +59,9 @@ StatusOr<AllocationExplanation> ExplainAllocation(
     for (IsolationLevel lower : kAllIsolationLevels) {
       if (!(lower < entry.assigned)) continue;
       // The base is robust, so only the triples through t can break.
+      const LevelChange change{t, lower};
       RobustnessResult result =
-          analyzer.CheckDelta(allocation, allocation.With(t, lower), options);
+          analyzer.CheckDelta(prepared, {&change, 1}, options);
       if (result.cancelled) return cancelled();
       if (!result.robust) {
         entry.obstacles.push_back(

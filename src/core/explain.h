@@ -41,10 +41,11 @@ struct AllocationExplanation {
 /// the lowered allocation (if any). The allocation must be robust
 /// (FailedPrecondition otherwise, naming the chain that breaks it).
 ///
-/// Runs on one RobustnessAnalyzer: a full Check of the allocation, then
-/// one CheckDelta(allocation, allocation.With(t, lower)) per obstacle,
-/// which scans only the triples through t. Every chain equals the one the
-/// reference CheckRobustness returns for the lowered allocation.
+/// Runs on one RobustnessAnalyzer: a full Check of the allocation, then,
+/// against the allocation prepared once as a DeltaBase, one CheckDelta
+/// per lowering {t, lower}, which scans only the triples through t.
+/// Every chain equals the one the reference CheckRobustness returns for
+/// the lowered allocation.
 /// `options` is forwarded to every check (threads, metrics, cancel,
 /// watchdog); the whole explanation is timed as the explain.checks phase.
 /// A raised cancel flag fails it with ResourceExhausted.

@@ -6,24 +6,23 @@
 
 namespace mvrob {
 
-LoweringResult LowerToOptimum(Allocation top,
+LoweringResult LowerToOptimum(const Allocation& top,
                               const std::vector<IsolationLevel>& floor,
                               const LoweringProbe& probe) {
   LoweringResult result;
-  result.allocation = std::move(top);
-  for (TxnId u = 0; u < result.allocation.size() && !result.cancelled; ++u) {
+  result.allocation = top;
+  for (TxnId u = 0; u < top.size() && !result.cancelled; ++u) {
     for (IsolationLevel level : {IsolationLevel::kRC, IsolationLevel::kSI}) {
       if (level < floor[u]) continue;
-      if (!(level < result.allocation.level(u))) break;
-      Allocation candidate = result.allocation.With(u, level);
+      if (!(level < top.level(u))) break;
       ++result.probes;
-      const ProbeVerdict verdict = probe(result.allocation, candidate);
+      const ProbeVerdict verdict = probe(u, level);
       if (verdict == ProbeVerdict::kCancelled) {
         result.cancelled = true;
         break;
       }
       if (verdict == ProbeVerdict::kRobust) {
-        result.allocation = std::move(candidate);
+        result.allocation.set_level(u, level);
         break;
       }
     }
@@ -70,13 +69,14 @@ StatusOr<OptimalAllocationResult> ComputeOptimalAllocation(
   }
   uint64_t levels_tried = 0;
   if (result.feasible) {
+    DeltaBase base(top);
     LoweringResult lowered = LowerToOptimum(
-        std::move(top), bounds.min_level,
-        [&](const Allocation& current, const Allocation& candidate) {
-          // `current` is robust, so only triples through the changed
-          // transaction can break the candidate.
+        top, bounds.min_level, [&](TxnId t, IsolationLevel level) {
+          // The top is robust, so only triples through t can break
+          // top[t -> level].
+          const LevelChange change{t, level};
           RobustnessResult check =
-              analyzer.CheckDelta(current, candidate, options);
+              analyzer.CheckDelta(base, {&change, 1}, options);
           if (check.cancelled) return ProbeVerdict::kCancelled;
           return check.robust ? ProbeVerdict::kRobust
                               : ProbeVerdict::kNotRobust;

@@ -72,44 +72,61 @@ struct OptimalAllocationResult {
   uint64_t robustness_checks = 0;
   /// True when CheckOptions::cancel stopped the search. When the top's
   /// check was cancelled, feasibility is unknown: `feasible` is false and
-  /// `allocation` empty. Otherwise `allocation` is the last robust
-  /// allocation reached: robust, but not necessarily optimal.
+  /// `allocation` empty. Otherwise `allocation` keeps the lowerings
+  /// decided before the cancel (LoweringResult): robust, but not
+  /// necessarily optimal.
   bool cancelled = false;
 };
 
 /// A probe's answer for one lowering candidate.
 enum class ProbeVerdict { kRobust, kNotRobust, kCancelled };
 
-/// Decides `candidate`, which differs from the robust `current` in the
-/// levels of one unit (a transaction, or every instance of a template).
-using LoweringProbe = std::function<ProbeVerdict(const Allocation& current,
-                                                 const Allocation& candidate)>;
+/// Decides top[unit -> level]: the fixed top with one unit (a
+/// transaction, or every instance of a template) lowered to `level`.
+using LoweringProbe =
+    std::function<ProbeVerdict(TxnId unit, IsolationLevel level)>;
 
 struct LoweringResult {
   Allocation allocation;
   /// One per candidate handed to the probe.
   uint64_t probes = 0;
-  /// A probe answered kCancelled; `allocation` is the last robust one.
+  /// A probe answered kCancelled; `allocation` is the pointwise minimum
+  /// of the units decided before it, which is robust but not necessarily
+  /// optimal.
   bool cancelled = false;
 };
 
 /// The lowering step of Algorithm 2, shared by every allocator over
-/// {RC, SI, SSI}: for each unit u in order, tries each level from
-/// floor[u] up to, but not including, u's current level, and keeps the
-/// first level the probe accepts.
+/// {RC, SI, SSI}: each unit u is decided alone against the fixed `top`,
+/// as the first level from floor[u] up to, but not including, top[u] at
+/// which the probe accepts top[u -> level] (top[u] when it accepts none),
+/// and the result is the pointwise combination of those levels.
 ///
 /// Precondition: `top` is robust and floor <= top pointwise.
 ///
-/// Why one loop serves every box [floor, top]: robust allocations are
-/// closed upward (Proposition 4.1(1)) and under pointwise minimum
-/// (Proposition 4.1(2)), so the robust allocations inside the box have a
-/// unique minimal element, and this greedy descent reaches it in any
-/// unit order. The free problem (Theorem 4.3) is the box [A_RC, A_SSI],
-/// the {RC, SI} problem (Theorem 5.5) is [A_RC, A_SI], the incremental
-/// allocator's warm start is [previous optimum, A_SSI], and the template
-/// layer runs the same box with units = templates and a probe that
-/// quantifies over every function world.
-LoweringResult LowerToOptimum(Allocation top,
+/// Why one loop serves every box [floor, top], and why each unit can be
+/// decided against the top alone: robust allocations are closed upward
+/// (Proposition 4.1(1)) and under pointwise minimum (Proposition
+/// 4.1(2)), so the robust allocations inside the box have a unique
+/// minimal element A* (Proposition 4.2), below every other one. Then
+/// A*(u) is the lowest level l >= floor[u] at which top[u -> l] is
+/// robust:
+///  - top[u -> A*(u)] >= A* pointwise, so it is robust by upward closure;
+///  - if top[u -> l] is robust, it lies in the box, so A* <= top[u -> l]
+///    and A*(u) <= l.
+/// The probe accepts exactly the levels l >= A*(u), so it accepts the
+/// same levels, in the same number of probes, as the greedy descent that
+/// lowers units one after another from the running allocation, whatever
+/// the order. A cancelled run keeps the units decided so far: each
+/// top[u -> l_u] is robust, and so is their pointwise minimum, by
+/// Proposition 4.1(2).
+///
+/// The free problem (Theorem 4.3) is the box [A_RC, A_SSI], the {RC, SI}
+/// problem (Theorem 5.5) is [A_RC, A_SI], the incremental allocator's
+/// warm start is [previous optimum, A_SSI], and the template layer runs
+/// the same box with units = templates and a probe that quantifies over
+/// every function world.
+LoweringResult LowerToOptimum(const Allocation& top,
                               const std::vector<IsolationLevel>& floor,
                               const LoweringProbe& probe);
 
@@ -118,8 +135,9 @@ class RobustnessAnalyzer;
 /// Algorithm 2 over the box `bounds` on a caller-provided analyzer, so
 /// callers that already hold one reuse its matrices and pivot caches.
 /// Checks the top with RobustnessAnalyzer::Check — except A_SSI, which no
-/// witness can split (Definition 3.1 (6)) — then lowers with CheckDelta:
-/// every candidate differs from a robust allocation in one transaction.
+/// witness can split (Definition 3.1 (6)) — then lowers with CheckDelta
+/// against the top, prepared once as a DeltaBase: every candidate differs
+/// from it in one transaction.
 /// `options` is forwarded to every check; the allocation is identical for
 /// every thread count. Fails with InvalidArgument when the bounds are
 /// malformed (size mismatch, or min > max somewhere).

@@ -56,13 +56,14 @@ std::vector<OpRef> FrontierCandidates(const PromotionRewrite& rewrite,
   PhaseTimer timer(options.check.metrics, "promote.frontier");
   const TransactionSet& cur = rewrite.promoted;
   const RobustnessAnalyzer analyzer(cur, options.check.metrics);
+  DeltaBase base(cur_alloc);
   std::vector<OpRef> out;
   for (TxnId t = 0; t < cur.size(); ++t) {
     for (IsolationLevel lower : LevelsBelow(cur_alloc.level(t))) {
       if (Cancelled(options)) return out;
-      CounterexampleList found =
-          analyzer.FindAll(cur_alloc, cur_alloc.With(t, lower),
-                           options.witnesses_per_round, options.check);
+      const LevelChange change{t, lower};
+      CounterexampleList found = analyzer.FindAll(
+          base, {&change, 1}, options.witnesses_per_round, options.check);
       ++plan.robustness_checks;
       for (const CounterexampleChain& chain : found.chains) {
         for (OpRef ref : CandidatesFromChain(cur, chain)) {

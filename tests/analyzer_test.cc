@@ -61,7 +61,7 @@ class RobustnessAnalyzerPeer {
     return analyzer_.Reachable(t1, t2, tm);
   }
   uint32_t PivotWords(TxnId t1) const {
-    return analyzer_.PivotFor(t1).words_per_row;
+    return analyzer_.PivotFor(t1).words;
   }
 
  private:
@@ -292,16 +292,20 @@ TEST(AnalyzerLayoutTest, TemplateWorldsMatchPairwiseBuild) {
 }
 
 // Pivot T0's graph is 70 transactions N0..N69, each writing an object of
-// its own, so each is a component, numbered in id order. A and B reach
-// each other only through N66, whose bit lives in the second word of the
-// pivot's mask rows. C touches only N2, whose bit is at the same position
-// of the first word, so C reaches neither.
+// its own, so each is a component. Only the components holding a
+// transaction that conflicts with a member of T0's row (A, B, C, D) are
+// labelled, in id order: D touches N0..N65 and A touches N66, so N66's bit
+// lives in the second word of the pivot's mask rows. A and B reach each
+// other only through N66. C touches only N2, whose bit is at the same
+// position of the first word, so C reaches neither.
 TEST(AnalyzerLayoutTest, PivotWithMoreThan64Components) {
   std::string text = "T0: W[x]\n";
   for (int i = 0; i < 70; ++i) {
     text += StrCat("N", i, ": W[p", i, "]", i == 66 ? " R[q]" : "", "\n");
   }
-  text += "A: R[x] W[p66]\nB: R[x] W[q]\nC: R[x] W[p2]\n";
+  text += "A: R[x] W[p66]\nB: R[x] W[q]\nC: R[x] W[p2]\nD: R[x]";
+  for (int i = 0; i < 66; ++i) text += StrCat(" W[p", i, "]");
+  text += "\n";
   StatusOr<TransactionSet> txns = ParseTransactionSet(text);
   ASSERT_TRUE(txns.ok()) << txns.status();
   const TxnId t0 = 0;

@@ -528,7 +528,12 @@ uint64_t UnretiredRefusals(const ConcurrentEngine& engine,
   return refusals;
 }
 
+// How many SSI sessions one continuous round commits depends on the OS
+// scheduler (a loaded host has seen tpcc at 4 workers commit 5 in 8,000
+// steps), so the test runs further rounds on the same engine until more
+// than 100 committed sessions are replayed, and fails past kMaxRounds.
 TEST(ConcurrentSsiRegistryTest, CommittedSessionsPassTheUnretiredCheck) {
+  constexpr int kMaxRounds = 64;
   const char* specs[] = {"synthetic:n=24,o=8,w=50,h=60,hot=2,ops=4,seed=1",
                          "smallbank:c=4", "tpcc:w=1,d=2"};
   for (size_t workers : {size_t{1}, kWorkers}) {
@@ -537,15 +542,20 @@ TEST(ConcurrentSsiRegistryTest, CommittedSessionsPassTheUnretiredCheck) {
       ASSERT_TRUE(workload.ok()) << workload.status().ToString();
       ConcurrentEngine engine(workload->txns.num_objects(), workers);
       RandomRunOptions run_options;
-      run_options.seed = 21;
       run_options.continuous = true;
       run_options.max_steps = 8'000;
-      RunConcurrent(engine, workload->txns,
-                    Allocation::AllSSI(workload->txns.size()), run_options);
       uint64_t checked = 0;
-      EXPECT_EQ(UnretiredRefusals(engine, &checked), 0u)
-          << spec << " at " << workers << " workers";
-      EXPECT_GT(checked, 100u) << spec << " at " << workers << " workers";
+      uint64_t refusals = 0;
+      int rounds = 0;
+      while (checked <= 100 && rounds < kMaxRounds) {
+        run_options.seed = 21 + static_cast<uint64_t>(rounds++);
+        RunConcurrent(engine, workload->txns,
+                      Allocation::AllSSI(workload->txns.size()), run_options);
+        refusals = UnretiredRefusals(engine, &checked);
+      }
+      EXPECT_EQ(refusals, 0u) << spec << " at " << workers << " workers";
+      EXPECT_GT(checked, 100u) << spec << " at " << workers << " workers, "
+                               << rounds << " rounds";
     }
   }
 }

@@ -94,9 +94,9 @@ class ComparisonReport : public ::testing::Environment {
 const ::testing::Environment* const kReport =
     ::testing::AddGlobalTestEnvironment(new ComparisonReport);
 
-// FindAll(candidate), and FindAll(base, candidate) when `base` is given
-// (it must be robust), against the reference enumeration at every limit
-// and thread count.
+// FindAll(candidate), and the delta FindAll against `base` when it is
+// given (it must be robust), against the reference enumeration at every
+// limit and thread count; the delta form must leave `base` as it was.
 void ExpectEnumerationsMatch(const RobustnessAnalyzer& analyzer,
                              const std::optional<Allocation>& base,
                              const Allocation& candidate) {
@@ -117,8 +117,10 @@ void ExpectEnumerationsMatch(const RobustnessAnalyzer& analyzer,
           << txns.ToString();
       ++g_compared;
       if (!base.has_value()) continue;
-      CounterexampleList delta =
-          analyzer.FindAll(*base, candidate, limit, options);
+      DeltaBase prepared(*base);
+      CounterexampleList delta = analyzer.FindAll(
+          prepared, LevelChanges(*base, candidate), limit, options);
+      EXPECT_EQ(prepared.allocation(), *base);
       EXPECT_FALSE(delta.cancelled);
       EXPECT_TRUE(SameChains(expected, delta.chains))
           << "delta, threads " << threads << ", limit " << limit << ", base "
@@ -227,8 +229,9 @@ TEST(FindAllCorpusTest, CancelledEnumerationSaysSo) {
       CounterexampleList full = analyzer.FindAll(candidate, 16, options);
       EXPECT_TRUE(full.cancelled);
       EXPECT_TRUE(full.chains.empty());
-      CounterexampleList delta =
-          analyzer.FindAll(base, candidate, 16, options);
+      DeltaBase prepared(base);
+      CounterexampleList delta = analyzer.FindAll(
+          prepared, LevelChanges(base, candidate), 16, options);
       EXPECT_TRUE(delta.cancelled);
       EXPECT_TRUE(delta.chains.empty());
     }

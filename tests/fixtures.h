@@ -150,6 +150,19 @@ inline TemplateAnalysis AnalyzeTemplates(
   return std::move(analysis).value();
 }
 
+// The transactions whose level differs between `base` and `candidate`, at
+// their candidate levels: the candidate as a delta probe against `base`.
+inline std::vector<LevelChange> LevelChanges(const Allocation& base,
+                                             const Allocation& candidate) {
+  std::vector<LevelChange> changes;
+  for (TxnId t = 0; t < candidate.size(); ++t) {
+    if (base.level(t) != candidate.level(t)) {
+      changes.push_back(LevelChange{t, candidate.level(t)});
+    }
+  }
+  return changes;
+}
+
 // The random sets of the analyzer differential tests (delta checks,
 // witness enumeration): the shapes of the robustness property corpus (2–4
 // transactions, both access regimes) and larger contended sets up to 12

@@ -18,6 +18,7 @@
 #include "core/incremental.h"
 #include "core/optimal_allocation.h"
 #include "core/robustness.h"
+#include "fixtures.h"
 #include "iso/allocation.h"
 #include "mvcc/driver.h"
 #include "mvcc/engine.h"
@@ -277,7 +278,9 @@ TEST(AnalyzerMetricsTest, DeltaChecksCountTheirOwnTriples) {
       CheckOptions options;
       options.num_threads = threads;
       options.metrics = &registry;
-      RobustnessResult result = analyzer.CheckDelta(base, candidate, options);
+      DeltaBase prepared(base);
+      RobustnessResult result = analyzer.CheckDelta(
+          prepared, LevelChanges(base, candidate), options);
       RobustnessResult full = analyzer.Check(candidate);
       ASSERT_EQ(result.robust, full.robust);
       EXPECT_EQ(result.triples_examined, full.triples_examined);
@@ -315,8 +318,10 @@ TEST(AnalyzerMetricsTest, EnumerationsCountTheirWitnesses) {
     options.num_threads = threads;
     options.metrics = &registry;
     CounterexampleList full = analyzer.FindAll(all_rc, 16, options);
+    DeltaBase all_ssi(Allocation::AllSSI(txns.size()));
     CounterexampleList delta = analyzer.FindAll(
-        Allocation::AllSSI(txns.size()), all_rc.With(0, IsolationLevel::kSI),
+        all_ssi,
+        LevelChanges(all_ssi.allocation(), all_rc.With(0, IsolationLevel::kSI)),
         16, options);
     EXPECT_FALSE(full.chains.empty());
     EXPECT_EQ(registry.counter("analyzer.enumerations").value(), 2u);

@@ -143,9 +143,12 @@ TEST(TemplateRobustnessTest, WriteSkewTemplates) {
 TEST(TemplateRobustnessTest, RejectsWrongAllocationSize) {
   TemplateAnalysis bank = AnalyzeTemplates(SmallBankTemplates());
   EXPECT_FALSE(bank.Check({IsolationLevel::kSI}).ok());
-  TemplateAllocation all_ssi(bank.num_templates(), IsolationLevel::kSSI);
   TemplateAllocation short_base{IsolationLevel::kSSI};
-  EXPECT_FALSE(bank.Check(all_ssi, &short_base).ok());
+  EXPECT_FALSE(bank.PrepareDelta(short_base).ok());
+  EXPECT_TRUE(
+      bank.PrepareDelta(TemplateAllocation(bank.num_templates(),
+                                           IsolationLevel::kSSI))
+          .ok());
 }
 
 TEST(TemplateRobustnessTest, TpccFolkloreAtTemplateGranularity) {

@@ -40,7 +40,7 @@ fi
 
 # suite binary --benchmark_filter --benchmark_min_time [bench_compare.py args]
 SUITES=(
-  "robustness bench_robustness BM_(BitsetAnalyzer|ParallelCheck) 0.2"
+  "robustness bench_robustness BM_(BitsetAnalyzer|ParallelCheck|Allocation) 0.2"
   "mvcc_scaling bench_mvcc_scaling . 0.1 --threshold 4.0 $SPEEDUP"
   "promotion bench_promotion BM_(OptimizePromotions|Throughput) 0.05"
   "templates bench_templates BM_Template_ 0.05"

@@ -14,7 +14,9 @@ Two kinds of checks, reflecting the two kinds of numbers in the file:
    metrics snapshot (the scan contract of core/robustness.h), and the
    promotion-outcome counters (before_weighted, after_weighted,
    promotions) that BM_OptimizePromotions attaches to its rows — a
-   changed allocation cost is a behavior change, not noise. An exact
+   changed allocation cost is a behavior change, not noise — and the work
+   counters (core.checks, analyzer.delta_triples_examined) that
+   BM_Allocation_YcsbA attaches to its rows. An exact
    counter on only one side fails too: a check the baseline cannot
    answer is re-recorded, never skipped.
 
@@ -126,7 +128,8 @@ def check_min_speedups(curves, requirements):
 
 # Row counters that are deterministic outcomes of the code under benchmark
 # (not timings), and the one exact number of the metrics snapshot.
-EXACT_COUNTERS = ("before_weighted", "after_weighted", "promotions")
+EXACT_COUNTERS = ("before_weighted", "after_weighted", "promotions",
+                  "core.checks", "analyzer.delta_triples_examined")
 METRICS_ROW = "mvrob_metrics"
 METRICS_COUNTER = "analyzer.triples_examined"
 
