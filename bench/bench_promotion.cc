@@ -5,10 +5,11 @@
 //
 //  - BM_OptimizePromotions/* times the promotion search itself (greedy
 //    frontier + exhaustive fallback) and reports the machine-INDEPENDENT
-//    outcome as counters: weighted allocation cost before and after, and
-//    the number of promotions committed. tools/bench_compare.py checks
-//    these counters exactly — a changed cost is a behavior change, not
-//    noise.
+//    outcome as counters: weighted allocation cost before and after, the
+//    number of promotions committed, and the search's effort (Algorithm 2
+//    runs and robustness checks). tools/bench_compare.py checks these
+//    counters exactly — a changed cost or effort is a behavior change,
+//    not noise.
 //
 //  - BM_Throughput/* runs the MVCC engine and compares the promoted
 //    workload under its optimized (cheaper) allocation against the
@@ -57,8 +58,13 @@ void BM_OptimizePromotions(benchmark::State& state, const char* spec) {
   state.counters["promotions"] = static_cast<double>(last.promotions.size());
   state.counters["allocations_computed"] =
       static_cast<double>(last.allocations_computed);
+  state.counters["robustness_checks"] =
+      static_cast<double>(last.robustness_checks);
 }
 BENCHMARK_CAPTURE(BM_OptimizePromotions, smallbank, "smallbank:c=2")
+    ->Unit(benchmark::kMillisecond);
+// The promotion stage of perfbench's analyze_smallbank workload.
+BENCHMARK_CAPTURE(BM_OptimizePromotions, smallbank_c6, "smallbank:c=6")
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_OptimizePromotions, tpcc, "tpcc:w=1,d=2")
     ->Unit(benchmark::kMillisecond);

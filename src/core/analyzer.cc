@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cassert>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <span>
@@ -15,85 +16,148 @@
 
 namespace mvrob {
 
-namespace {
+void RobustnessAnalyzer::Access::Record(const Operation& op, int k) {
+  int& first = op.IsRead() ? first_read : first_write;
+  if (first < 0) first = k;
+  (op.IsRead() ? last_read : last_write) = k;
+}
 
-// One transaction's accesses to one object: the first and last
-// program-order index of its reads and of its writes (-1: none).
-struct Access {
-  TxnId txn = kInvalidTxnId;
-  int first_read = -1;
-  int last_read = -1;
-  int first_write = -1;
-  int last_write = -1;
-
-  bool reads() const { return first_read >= 0; }
-  bool writes() const { return first_write >= 0; }
-};
-
-// Every object's accessors in ascending transaction order, in one flat
-// CSR array indexed by ObjectId: object o's accesses are
-// accesses[offsets[o], offsets[o + 1]).
-struct ObjectIndex {
-  std::vector<uint32_t> offsets;
-  std::vector<Access> accesses;
-
-  explicit ObjectIndex(const TransactionSet& txns) {
-    size_t objects = 0;
-    for (TxnId t = 0; t < txns.size(); ++t) {
-      for (const Operation& op : txns.txn(t).ops()) {
-        if (!op.IsCommit()) objects = std::max<size_t>(objects, op.object + 1);
-      }
+RobustnessAnalyzer::ObjectIndex::ObjectIndex(const TransactionSet& txns) {
+  size_t objects = 0;
+  for (TxnId t = 0; t < txns.size(); ++t) {
+    for (const Operation& op : txns.txn(t).ops()) {
+      if (!op.IsCommit()) objects = std::max<size_t>(objects, op.object + 1);
     }
-    // Count, then place: `seen[o]` marks the transaction whose access to o
-    // was last counted (placed), `slot[o]` where it was placed.
-    std::vector<TxnId> seen(objects, kInvalidTxnId);
-    offsets.assign(objects + 1, 0);
-    for (TxnId t = 0; t < txns.size(); ++t) {
-      for (const Operation& op : txns.txn(t).ops()) {
-        if (op.IsCommit() || seen[op.object] == t) continue;
+  }
+  // Count, then place: `seen[o]` marks the transaction whose access to o
+  // was last counted (placed), `slot[o]` where it was placed.
+  std::vector<TxnId> seen(objects, kInvalidTxnId);
+  offsets.assign(objects + 1, 0);
+  for (TxnId t = 0; t < txns.size(); ++t) {
+    for (const Operation& op : txns.txn(t).ops()) {
+      if (op.IsCommit() || seen[op.object] == t) continue;
+      seen[op.object] = t;
+      ++offsets[op.object + 1];
+    }
+  }
+  for (size_t o = 0; o < objects; ++o) offsets[o + 1] += offsets[o];
+  accesses.resize(offsets[objects]);
+  std::vector<uint32_t> slot(offsets.begin(), offsets.end() - 1);
+  std::fill(seen.begin(), seen.end(), kInvalidTxnId);
+  for (TxnId t = 0; t < txns.size(); ++t) {
+    const Transaction& txn = txns.txn(t);
+    for (int k = 0; k < txn.num_ops(); ++k) {
+      const Operation& op = txn.op(k);
+      if (op.IsCommit()) continue;
+      if (seen[op.object] != t) {
         seen[op.object] = t;
-        ++offsets[op.object + 1];
+        accesses[slot[op.object]++].txn = t;
       }
-    }
-    for (size_t o = 0; o < objects; ++o) offsets[o + 1] += offsets[o];
-    accesses.resize(offsets[objects]);
-    std::vector<uint32_t> slot(offsets.begin(), offsets.end() - 1);
-    std::fill(seen.begin(), seen.end(), kInvalidTxnId);
-    for (TxnId t = 0; t < txns.size(); ++t) {
-      const Transaction& txn = txns.txn(t);
-      for (int k = 0; k < txn.num_ops(); ++k) {
-        const Operation& op = txn.op(k);
-        if (op.IsCommit()) continue;
-        if (seen[op.object] != t) {
-          seen[op.object] = t;
-          accesses[slot[op.object]++].txn = t;
-        }
-        Access& access = accesses[slot[op.object] - 1];
-        int& first = op.IsRead() ? access.first_read : access.first_write;
-        if (first < 0) first = k;
-        (op.IsRead() ? access.last_read : access.last_write) = k;
-      }
+      accesses[slot[op.object] - 1].Record(op, k);
     }
   }
+}
 
-  size_t num_objects() const { return offsets.size() - 1; }
-  const Access* begin(size_t o) const { return accesses.data() + offsets[o]; }
-  const Access* end(size_t o) const {
-    return accesses.data() + offsets[o + 1];
-  }
-};
+RobustnessAnalyzer::Access& RobustnessAnalyzer::ObjectIndex::at(size_t o,
+                                                               TxnId t) {
+  Access* found = std::lower_bound(
+      begin(o), end(o), t,
+      [](const Access& access, TxnId txn) { return access.txn < txn; });
+  assert(found != end(o) && found->txn == t);
+  return *found;
+}
+
+namespace {
 
 uint64_t MatrixBytes(const BitMatrix& matrix) {
   return matrix.rows() * BitWords(matrix.cols()) * sizeof(uint64_t);
 }
 
+// The objects `txn` reads or writes, ascending.
+std::vector<ObjectId> AccessedObjects(const Transaction& txn) {
+  std::vector<ObjectId> objects;
+  std::set_union(txn.read_set().begin(), txn.read_set().end(),
+                 txn.write_set().begin(), txn.write_set().end(),
+                 std::back_inserter(objects));
+  return objects;
+}
+
 }  // namespace
+
+void RobustnessAnalyzer::MarkConflict(const Access& writer,
+                                      const Access& other) {
+  conflict_.Set(writer.txn, other.txn);
+  conflict_.Set(other.txn, writer.txn);
+  if (other.writes()) ww_never_.Reset(writer.txn, other.txn);
+  if (other.reads()) {
+    rw_.Set(other.txn, writer.txn);
+    rw_into_.Set(writer.txn, other.txn);
+  }
+}
+
+void RobustnessAnalyzer::AccumulatePair(const Access& a, const Access& b,
+                                        PairIndex& entry) {
+  if (a.writes()) {
+    if (b.writes()) entry.first_ww = std::min(entry.first_ww, a.first_write);
+    entry.last_conflict = std::max(entry.last_conflict, a.last_write);
+  }
+  if (a.reads() && b.writes()) {
+    entry.first_rw = std::min(entry.first_rw, a.first_read);
+    entry.last_conflict = std::max(entry.last_conflict, a.last_read);
+  }
+}
+
+void RobustnessAnalyzer::BuildRanks() {
+  const size_t n = txns_.size();
+  const size_t words = BitWords(n);
+  row_start_.assign(n + 1, 0);
+  rank_.resize(n * words);
+  for (TxnId i = 0; i < n; ++i) {
+    ConstBitSpan row = conflict_.row(i);
+    uint32_t rank = 0;
+    for (size_t w = 0; w < words; ++w) {
+      rank_[i * words + w] = rank;
+      rank += static_cast<uint32_t>(std::popcount(row.word(w)));
+    }
+    row_start_[i + 1] = row_start_[i] + rank;
+  }
+}
+
+void RobustnessAnalyzer::FillPairs() {
+  pairs_.assign(row_start_[txns_.size()], PairIndex{});
+  for (size_t o = 0; o < index_.num_objects(); ++o) {
+    for (const Access* a = index_.begin(o); a != index_.end(o); ++a) {
+      for (const Access* b = index_.begin(o); b != index_.end(o); ++b) {
+        if (b == a || !(a->writes() || b->writes())) continue;
+        AccumulatePair(*a, *b, pair(a->txn, b->txn));
+      }
+    }
+  }
+}
+
+void RobustnessAnalyzer::DeriveRow(TxnId i) {
+  const PairIndex* entry = pairs_.data() + row_start_[i];
+  BitSpan before = rw_before_ww_.row(i);
+  before.ResetAll();
+  conflict_.row(i).ForEachSetBit([&](size_t j) {
+    if (entry->first_rw < entry->first_ww) before.Set(j);
+    ++entry;
+  });
+  BitSpan si = si_candidates_.row(i);
+  si.CopyFrom(ww_never_.row(i));
+  si.AndWith(rw_into_.row(i));
+}
+
+RobustnessAnalyzer::RobustnessAnalyzer(TransactionSet& txns,
+                                       MetricsRegistry* metrics)
+    : RobustnessAnalyzer(static_cast<const TransactionSet&>(txns), metrics) {
+  mutable_txns_ = &txns;
+}
 
 RobustnessAnalyzer::RobustnessAnalyzer(const TransactionSet& txns,
                                        MetricsRegistry* metrics)
-    : txns_(txns), metrics_(metrics) {
+    : txns_(txns), metrics_(metrics), index_(txns) {
   const size_t n = txns.size();
-  const size_t words = BitWords(n);
   conflict_ = BitMatrix(n, n);
   rw_ = BitMatrix(n, n);
   rw_into_ = BitMatrix(n, n);
@@ -105,71 +169,129 @@ RobustnessAnalyzer::RobustnessAnalyzer(const TransactionSet& txns,
 
   // Only pairs sharing an object, with at least one of them writing it,
   // conflict; the object index visits exactly those.
-  const ObjectIndex index(txns);
   {
     PhaseTimer matrix_timer(metrics_, "analyzer.build_conflict_matrix");
-    // ww_never_ holds the ww relation until it is flipped below.
-    for (size_t o = 0; o < index.num_objects(); ++o) {
-      for (const Access* a = index.begin(o); a != index.end(o); ++a) {
+    for (TxnId i = 0; i < n; ++i) ww_never_.row(i).SetAll();
+    for (size_t o = 0; o < index_.num_objects(); ++o) {
+      for (const Access* a = index_.begin(o); a != index_.end(o); ++a) {
         if (!a->writes()) continue;
-        for (const Access* b = index.begin(o); b != index.end(o); ++b) {
-          if (b == a) continue;
-          conflict_.Set(a->txn, b->txn);
-          conflict_.Set(b->txn, a->txn);
-          if (b->writes()) ww_never_.Set(a->txn, b->txn);
-          if (b->reads()) {
-            rw_.Set(b->txn, a->txn);
-            rw_into_.Set(a->txn, b->txn);
-          }
+        for (const Access* b = index_.begin(o); b != index_.end(o); ++b) {
+          if (b != a) MarkConflict(*a, *b);
         }
       }
     }
-    row_start_.assign(n + 1, 0);
-    rank_.resize(n * words);
-    for (TxnId i = 0; i < n; ++i) {
-      ConstBitSpan row = conflict_.row(i);
-      uint32_t rank = 0;
-      for (size_t w = 0; w < words; ++w) {
-        rank_[i * words + w] = rank;
-        rank += static_cast<uint32_t>(std::popcount(row.word(w)));
-      }
-      row_start_[i + 1] = row_start_[i] + rank;
-    }
+    BuildRanks();
   }
   PhaseTimer masks_timer(metrics_, "analyzer.build_candidate_masks");
-  pairs_.assign(row_start_[n], PairIndex{});
-  for (size_t o = 0; o < index.num_objects(); ++o) {
-    for (const Access* a = index.begin(o); a != index.end(o); ++a) {
-      for (const Access* b = index.begin(o); b != index.end(o); ++b) {
-        if (b == a || !(a->writes() || b->writes())) continue;
-        PairIndex& entry =
-            pairs_[row_start_[a->txn] + RankInRow(a->txn, b->txn)];
-        if (a->writes()) {
-          if (b->writes()) {
-            entry.first_ww = std::min(entry.first_ww, a->first_write);
-          }
-          entry.last_conflict = std::max(entry.last_conflict, a->last_write);
-        }
-        if (a->reads() && b->writes()) {
-          entry.first_rw = std::min(entry.first_rw, a->first_read);
-          entry.last_conflict = std::max(entry.last_conflict, a->last_read);
-        }
+  FillPairs();
+  for (TxnId i = 0; i < n; ++i) DeriveRow(i);
+  RecordBytes(metrics_);
+}
+
+template <typename Fn>
+void RobustnessAnalyzer::ForEachConflictingAccess(TxnId t, Fn&& fn) {
+  for (ObjectId o : AccessedObjects(txns_.txn(t))) {
+    const Access& mine = index_.at(o, t);
+    for (const Access* other = index_.begin(o); other != index_.end(o);
+         ++other) {
+      if (other->txn != t && (mine.writes() || other->writes())) {
+        fn(mine, *other);
       }
     }
   }
-  for (TxnId i = 0; i < n; ++i) {
-    ww_never_.row(i).FlipAll();
-    const PairIndex* entry = pairs_.data() + row_start_[i];
-    BitSpan before = rw_before_ww_.row(i);
-    conflict_.row(i).ForEachSetBit([&](size_t j) {
-      if (entry->first_rw < entry->first_ww) before.Set(j);
-      ++entry;
-    });
-    BitSpan si = si_candidates_.row(i);
-    si.CopyFrom(ww_never_.row(i));
-    si.AndWith(rw_into_.row(i));
+}
+
+void RobustnessAnalyzer::DropRcCache(TxnId t1) {
+  for (const auto& [k, mask] : rc_cache_[t1]) {
+    rc_bytes_.fetch_sub(mask.num_words() * sizeof(uint64_t),
+                        std::memory_order_relaxed);
   }
+  rc_cache_[t1].clear();
+}
+
+Status RobustnessAnalyzer::Replace(TxnId t, std::vector<Operation> rw_ops) {
+  if (mutable_txns_ == nullptr) {
+    return Status::FailedPrecondition(
+        "Replace needs an analyzer built over a mutable transaction set");
+  }
+  const std::vector<ObjectId> old_objects =
+      t < txns_.size() ? AccessedObjects(txns_.txn(t))
+                       : std::vector<ObjectId>{};
+  Status replaced = mutable_txns_->ReplaceTransaction(t, std::move(rw_ops));
+  if (!replaced.ok()) return replaced;
+  const Transaction& txn = txns_.txn(t);
+
+  // The index: t's accesses in place when it touches the same objects,
+  // otherwise a fresh one.
+  if (AccessedObjects(txn) == old_objects) {
+    for (ObjectId o : old_objects) index_.at(o, t) = Access{t};
+    for (int k = 0; k + 1 < txn.num_ops(); ++k) {
+      index_.at(txn.op(k).object, t).Record(txn.op(k), k);
+    }
+  } else {
+    index_ = ObjectIndex(txns_);
+  }
+
+  // t's row and column of the relations, from the defaults of a
+  // transaction that conflicts with nothing. `partners` ends up holding
+  // t's old and new conflict rows.
+  DenseBitset partners(txns_.size());
+  partners.CopyFrom(conflict_.row(t));
+  partners.ForEachSetBit([&](size_t b) {
+    conflict_.Reset(b, t);
+    rw_.Reset(b, t);
+    rw_into_.Reset(b, t);
+    ww_never_.Set(b, t);
+  });
+  conflict_.row(t).ResetAll();
+  rw_.row(t).ResetAll();
+  rw_into_.row(t).ResetAll();
+  ww_never_.row(t).SetAll();
+  ForEachConflictingAccess(t, [&](const Access& mine, const Access& other) {
+    if (mine.writes()) MarkConflict(mine, other);
+    if (other.writes()) MarkConflict(other, mine);
+  });
+
+  // The pair entries: a new layout when t's conflict row changed, else
+  // t's entries in place.
+  const ConstBitSpan row = conflict_.row(t);
+  bool row_changed = false;
+  for (size_t w = 0; w < partners.num_words(); ++w) {
+    row_changed |= partners.span().word(w) != row.word(w);
+  }
+  if (row_changed) {
+    BuildRanks();
+    FillPairs();
+    for (PivotCache& cache : pivot_cache_) cache = PivotCache{};
+    pivot_bytes_.store(0, std::memory_order_relaxed);
+  } else {
+    row.ForEachSetBit([&](size_t b) {
+      pair(t, static_cast<TxnId>(b)) = PairIndex{};
+      pair(static_cast<TxnId>(b), t) = PairIndex{};
+    });
+    ForEachConflictingAccess(t, [&](const Access& mine, const Access& other) {
+      AccumulatePair(mine, other, pair(t, other.txn));
+      AccumulatePair(other, mine, pair(other.txn, t));
+    });
+  }
+
+  // The derived relations: row t whole, column t in every partner; and
+  // the RC caches that read them.
+  partners.OrWith(row);
+  DeriveRow(t);
+  DropRcCache(t);
+  partners.ForEachSetBit([&](size_t b) {
+    const auto partner = static_cast<TxnId>(b);
+    const PairIndex* entry =
+        conflict_.Test(partner, t) ? &pair(partner, t) : nullptr;
+    rw_before_ww_.Assign(
+        partner, t, entry != nullptr && entry->first_rw < entry->first_ww);
+    si_candidates_.Assign(
+        partner, t, ww_never_.Test(partner, t) && rw_into_.Test(partner, t));
+    DropRcCache(partner);
+  });
   RecordBytes(metrics_);
+  return Status::Ok();
 }
 
 size_t RobustnessAnalyzer::RankInRow(TxnId i, TxnId j) const {
@@ -190,6 +312,8 @@ RobustnessAnalyzer::Bytes RobustnessAnalyzer::bytes() const {
   bytes.pair_rank = row_start_.size() * sizeof(size_t) +
                     rank_.size() * sizeof(uint32_t);
   bytes.pair_entries = pairs_.size() * sizeof(PairIndex);
+  bytes.object_index = index_.offsets.size() * sizeof(uint32_t) +
+                       index_.accesses.size() * sizeof(Access);
   bytes.pivot_caches = pivot_bytes_.load(std::memory_order_relaxed);
   bytes.rc_caches = rc_bytes_.load(std::memory_order_relaxed);
   return bytes;
@@ -205,6 +329,7 @@ void RobustnessAnalyzer::RecordBytes(MetricsRegistry* metrics) const {
   set("analyzer.bytes{table=relations}", b.relations);
   set("analyzer.bytes{table=pair_rank}", b.pair_rank);
   set("analyzer.bytes{table=pair_entries}", b.pair_entries);
+  set("analyzer.bytes{table=object_index}", b.object_index);
   set("analyzer.bytes{table=pivot_caches}", b.pivot_caches);
   set("analyzer.bytes{table=rc_caches}", b.rc_caches);
 }

@@ -10,8 +10,10 @@
 #include <vector>
 
 #include "common/bitset.h"
+#include "common/status.h"
 #include "core/conflict.h"
 #include "core/robustness.h"
+#include "txn/transaction_set.h"
 
 namespace mvrob {
 
@@ -130,11 +132,29 @@ class DeltaBase {
 /// audited triples_examined — are bit-identical to CheckRobustness
 /// (property-tested).
 ///
+/// Replace. A caller whose workload changes in one transaction (the
+/// promotion search scores each candidate this way) swaps that
+/// transaction's operations in place instead of building a new analyzer:
+/// Replace updates the transaction set and, from the retained per-object
+/// index, the transaction's row and column of the six relations and the
+/// pair entries it is part of. The lazy caches follow one rule:
+///  - the pivot caches read only conflict_, so they all stay when the
+///    transaction's conflict row is unchanged, and are all dropped
+///    otherwise (then the row starts, rank prefixes and pair entries are
+///    rebuilt too, since the pair layout follows conflict_);
+///  - an RC candidate row of t1 reads the pair entries and rw_into_ bits of
+///    t1's conflict row, so those of the transaction and of every member
+///    of its old or new conflict row are dropped.
+/// The result is the analyzer a fresh build over the changed set gives:
+/// the same tables and the same answers, with bytes() counting only the
+/// caches kept.
+///
 /// Thread safety: Check(alloc, options) with options.num_threads != 1
 /// partitions the t1 rows over a thread pool; the lazy per-t1 caches are
 /// only ever touched by the thread owning that row, so concurrent rows
 /// are race-free. Distinct Check calls must not run concurrently on the
-/// same analyzer from user threads.
+/// same analyzer from user threads, and Replace must not run concurrently
+/// with any other call on it.
 class RobustnessAnalyzer {
  public:
   /// `metrics` (nullable) records the build-phase timers and the
@@ -143,6 +163,15 @@ class RobustnessAnalyzer {
   /// Collection never changes results.
   explicit RobustnessAnalyzer(const TransactionSet& txns,
                               MetricsRegistry* metrics = nullptr);
+  /// The same over a set that Replace may change.
+  explicit RobustnessAnalyzer(TransactionSet& txns,
+                              MetricsRegistry* metrics = nullptr);
+
+  /// Replaces transaction t's operations with `rw_ops` (commit appended)
+  /// in the set and in every table, as described above; validated as in
+  /// TransactionSet::ReplaceTransaction. Fails with FailedPrecondition on
+  /// an analyzer built over a const set; on failure nothing changes.
+  Status Replace(TxnId t, std::vector<Operation> rw_ops);
 
   /// Algorithm 1 for one allocation; equivalent to CheckRobustness.
   RobustnessResult Check(const Allocation& alloc) const;
@@ -192,10 +221,12 @@ class RobustnessAnalyzer {
     uint64_t relations = 0;     // The six n x n bit matrices.
     uint64_t pair_rank = 0;     // Row starts and per-word rank prefixes.
     uint64_t pair_entries = 0;  // One PairIndex per conflicting pair.
+    uint64_t object_index = 0;  // The per-object accesses Replace reads.
     uint64_t pivot_caches = 0;  // Component masks of the built pivots.
     uint64_t rc_caches = 0;     // Tm candidate rows of RC pivots.
     uint64_t total() const {
-      return relations + pair_rank + pair_entries + pivot_caches + rc_caches;
+      return relations + pair_rank + pair_entries + object_index +
+             pivot_caches + rc_caches;
     }
   };
   Bytes bytes() const;
@@ -212,6 +243,56 @@ class RobustnessAnalyzer {
     int first_rw = kNever;     // First read of Ti on an object Tj writes.
     int last_conflict = -1;    // Last operation of Ti conflicting with Tj.
   };
+
+  // One transaction's accesses to one object: the first and last
+  // program-order index of its reads and of its writes (-1: none).
+  struct Access {
+    TxnId txn = kInvalidTxnId;
+    int first_read = -1;
+    int last_read = -1;
+    int first_write = -1;
+    int last_write = -1;
+
+    bool reads() const { return first_read >= 0; }
+    bool writes() const { return first_write >= 0; }
+    // Folds operation k into the first/last indices.
+    void Record(const Operation& op, int k);
+  };
+
+  // Every object's accessors in ascending transaction order, in one flat
+  // CSR array indexed by ObjectId: object o's accesses are
+  // accesses[offsets[o], offsets[o + 1]).
+  struct ObjectIndex {
+    std::vector<uint32_t> offsets;
+    std::vector<Access> accesses;
+
+    explicit ObjectIndex(const TransactionSet& txns);
+
+    size_t num_objects() const { return offsets.size() - 1; }
+    Access* begin(size_t o) { return accesses.data() + offsets[o]; }
+    Access* end(size_t o) { return accesses.data() + offsets[o + 1]; }
+    // Transaction t's access to object o, which must exist.
+    Access& at(size_t o, TxnId t);
+  };
+
+  // The pair rules, one statement each, shared by the build and Replace.
+  // Relation bits of `writer`'s access and another transaction's access
+  // `other` to the same object.
+  void MarkConflict(const Access& writer, const Access& other);
+  // Folds the accesses of Ti (`a`) and Tj (`b`) to one object, one of
+  // which writes it, into pair (Ti, Tj)'s entry.
+  static void AccumulatePair(const Access& a, const Access& b,
+                             PairIndex& entry);
+  // Row starts and rank prefixes from conflict_, then every pair entry.
+  void BuildRanks();
+  void FillPairs();
+  // rw_before_ww_ and si_candidates_ row i from its pair entries and bits.
+  void DeriveRow(TxnId i);
+  // Calls fn(mine, other) for every access `other` of another transaction
+  // to an object that t accesses (`mine`), one of the two writing it.
+  template <typename Fn>
+  void ForEachConflictingAccess(TxnId t, Fn&& fn);
+  void DropRcCache(TxnId t1);
 
   // Conflicts between a pivot's component structure and the members of
   // its conflict row.
@@ -238,6 +319,9 @@ class RobustnessAnalyzer {
   /// The rank of j among the set bits of conflict_ row i; j must be set.
   size_t RankInRow(TxnId i, TxnId j) const;
   const PairIndex& pair(TxnId i, TxnId j) const {
+    return pairs_[row_start_[i] + RankInRow(i, j)];
+  }
+  PairIndex& pair(TxnId i, TxnId j) {
     return pairs_[row_start_[i] + RankInRow(i, j)];
   }
   void RecordBytes(MetricsRegistry* metrics) const;
@@ -324,9 +408,14 @@ class RobustnessAnalyzer {
                                                TxnId tm) const;
 
   const TransactionSet& txns_;
+  // txns_ when the analyzer was built over a mutable set (Replace), else
+  // null.
+  TransactionSet* mutable_txns_ = nullptr;
   // Default observability sink for Check (overridden per call by
   // CheckOptions::metrics); also receives the build-phase timers.
   MetricsRegistry* metrics_ = nullptr;
+  // The tables are built from it, and Replace updates them from it.
+  ObjectIndex index_;
   // conflict_ row i: transactions with an operation conflicting with Ti
   // (symmetric, diagonal clear).
   BitMatrix conflict_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 #include <utility>
 
 #include "common/metrics.h"
@@ -41,6 +42,61 @@ std::vector<IsolationLevel> LevelsBelow(IsolationLevel level) {
   return {};
 }
 
+/// Runs the caller's probe hook, if any.
+void Probe(const PromoteOptions& options) {
+  if (options.on_probe) options.on_probe();
+}
+
+/// The search's working workload: the base with the committed promotions
+/// applied, its index maps, and one analyzer over it that every probe of
+/// the search reuses. A candidate is scored by replacing the transactions
+/// it changes, running Algorithm 2 on the same analyzer and replacing them
+/// back; a commit replaces them for good and updates the maps.
+class Workspace {
+ public:
+  Workspace(const TransactionSet& base, PromotionRewrite start,
+            MetricsRegistry* metrics)
+      : base_(base),
+        rewrite_(std::move(start)),
+        analyzer_(rewrite_.promoted, metrics) {}
+
+  const PromotionRewrite& rewrite() const { return rewrite_; }
+  const RobustnessAnalyzer& analyzer() const { return analyzer_; }
+
+  /// Sets the transactions of `reads` (ascending) to their form under
+  /// `promotions`; with `commit`, their index maps too. Fails, changing
+  /// nothing, if a read is not a promotable read of the base.
+  Status Set(const PromotionSet& promotions, std::span<const OpRef> reads,
+             bool commit) {
+    for (OpRef ref : reads) {
+      if (!IsPromotableRead(base_, ref)) {
+        return Status::InvalidArgument(
+            StrCat("not a promotable read: txn ", ref.txn, " op ", ref.index));
+      }
+    }
+    for (size_t i = 0; i < reads.size(); ++i) {
+      const TxnId t = reads[i].txn;
+      if (i > 0 && reads[i - 1].txn == t) continue;
+      PromotedTransaction promoted = PromoteTransaction(base_, t, promotions);
+      Status replaced = analyzer_.Replace(t, std::move(promoted.ops));
+      if (!replaced.ok()) return replaced;
+      if (commit) {
+        rewrite_.to_original[t] = std::move(promoted.to_original);
+        rewrite_.from_original[t] = std::move(promoted.from_original);
+      }
+    }
+    return Status::Ok();
+  }
+
+  /// The promoted workload; the workspace is spent afterwards.
+  TransactionSet Release() { return std::move(rewrite_.promoted); }
+
+ private:
+  const TransactionSet& base_;
+  PromotionRewrite rewrite_;
+  RobustnessAnalyzer analyzer_;
+};
+
 /// Candidates (base coordinates) from the frontier of the current optimum:
 /// for each transaction above RC, lower it and harvest the witness chains
 /// that block the lowering — their rw read legs, mapped back through the
@@ -48,28 +104,28 @@ std::vector<IsolationLevel> LevelsBelow(IsolationLevel level) {
 /// `cur_alloc` is Algorithm 2's optimum and hence robust, so every probe
 /// is a delta enumeration over the triples through the lowered
 /// transaction.
-std::vector<OpRef> FrontierCandidates(const PromotionRewrite& rewrite,
+std::vector<OpRef> FrontierCandidates(const Workspace& work,
                                       const Allocation& cur_alloc,
                                       const PromotionSet& chosen,
                                       const PromoteOptions& options,
                                       PromotionPlan& plan) {
   PhaseTimer timer(options.check.metrics, "promote.frontier");
-  const TransactionSet& cur = rewrite.promoted;
-  const RobustnessAnalyzer analyzer(cur, options.check.metrics);
+  const TransactionSet& cur = work.rewrite().promoted;
   DeltaBase base(cur_alloc);
   std::vector<OpRef> out;
   for (TxnId t = 0; t < cur.size(); ++t) {
     for (IsolationLevel lower : LevelsBelow(cur_alloc.level(t))) {
       if (Cancelled(options)) return out;
       const LevelChange change{t, lower};
-      CounterexampleList found = analyzer.FindAll(
+      Probe(options);
+      CounterexampleList found = work.analyzer().FindAll(
           base, {&change, 1}, options.witnesses_per_round, options.check);
       ++plan.robustness_checks;
       for (const CounterexampleChain& chain : found.chains) {
         for (OpRef ref : CandidatesFromChain(cur, chain)) {
-          std::optional<OpRef> base = rewrite.OriginalRef(ref);
-          if (base.has_value() && !chosen.Contains(*base)) {
-            out.push_back(*base);
+          std::optional<OpRef> base_ref = work.rewrite().OriginalRef(ref);
+          if (base_ref.has_value() && !chosen.Contains(*base_ref)) {
+            out.push_back(*base_ref);
           }
         }
       }
@@ -80,14 +136,15 @@ std::vector<OpRef> FrontierCandidates(const PromotionRewrite& rewrite,
   return out;
 }
 
-/// Algorithm 2 on `txns`, timed as the promote.evaluate phase; accumulates
-/// the plan's effort counters.
-OptimalAllocationResult Optimum(const TransactionSet& txns,
+/// Algorithm 2 on the analyzer's workload, timed as the promote.evaluate
+/// phase; accumulates the plan's effort counters.
+OptimalAllocationResult Optimum(const RobustnessAnalyzer& analyzer,
                                 const PromoteOptions& options,
                                 PromotionPlan& plan) {
+  Probe(options);
   PhaseTimer timer(options.check.metrics, "promote.evaluate");
   OptimalAllocationResult result =
-      ComputeOptimalAllocation(txns, options.check);
+      ComputeOptimalAllocation(analyzer, options.check);
   ++plan.allocations_computed;
   plan.robustness_checks += result.robustness_checks;
   // A cancelled Algorithm 2 stops above the optimum; flag the plan rather
@@ -96,23 +153,26 @@ OptimalAllocationResult Optimum(const TransactionSet& txns,
   return result;
 }
 
-/// Algorithm 2 on `txns` with `set` applied.
+/// Algorithm 2 on the working workload with `chosen` and `added`
+/// (ascending) promoted.
 struct Evaluation {
-  PromotionRewrite rewrite;
   Allocation allocation;
   AllocationCost cost;
 };
 
-StatusOr<Evaluation> Evaluate(const TransactionSet& txns,
-                              const PromotionSet& set,
+StatusOr<Evaluation> Evaluate(Workspace& work, const PromotionSet& chosen,
+                              std::span<const OpRef> added,
                               const PromoteOptions& options,
                               PromotionPlan& plan) {
-  StatusOr<PromotionRewrite> rewrite = ApplyPromotions(txns, set);
-  if (!rewrite.ok()) return rewrite.status();
+  PromotionSet trial = chosen;
+  for (OpRef ref : added) trial.Add(ref);
+  Status applied = work.Set(trial, added, false);
+  if (!applied.ok()) return applied;
   Evaluation eval;
-  eval.rewrite = std::move(*rewrite);
-  eval.allocation = Optimum(eval.rewrite.promoted, options, plan).allocation;
+  eval.allocation = Optimum(work.analyzer(), options, plan).allocation;
   eval.cost = ComputeAllocationCost(eval.allocation, options);
+  Status restored = work.Set(chosen, added, false);
+  if (!restored.ok()) return restored;
   return eval;
 }
 
@@ -126,7 +186,7 @@ struct ExhaustiveHit {
   size_t evaluated = 0;
 };
 
-std::optional<ExhaustiveHit> ExhaustiveSearch(const TransactionSet& txns,
+std::optional<ExhaustiveHit> ExhaustiveSearch(Workspace& work,
                                               const PromotionSet& chosen,
                                               const std::vector<OpRef>& pool,
                                               size_t max_k,
@@ -136,6 +196,7 @@ std::optional<ExhaustiveHit> ExhaustiveSearch(const TransactionSet& txns,
   std::optional<ExhaustiveHit> best;
   size_t evaluated = 0;
   max_k = std::min(max_k, pool.size());
+  std::vector<OpRef> subset;
   for (size_t k = 1; k <= max_k; ++k) {
     std::vector<size_t> idx(k);
     for (size_t i = 0; i < k; ++i) idx[i] = i;
@@ -144,18 +205,16 @@ std::optional<ExhaustiveHit> ExhaustiveSearch(const TransactionSet& txns,
         if (best.has_value()) best->evaluated = evaluated;
         return best;
       }
-      PromotionSet trial = chosen;
-      for (size_t i : idx) trial.Add(pool[i]);
-      StatusOr<Evaluation> eval = Evaluate(txns, trial, options, plan);
+      subset.clear();
+      for (size_t i : idx) subset.push_back(pool[i]);
+      StatusOr<Evaluation> eval =
+          Evaluate(work, chosen, subset, options, plan);
       ++evaluated;
       if (eval.ok() && !Cancelled(options)) {
         int64_t bar = best.has_value() ? best->eval.cost.weighted
                                        : to_beat.weighted;
         if (eval->cost.weighted < bar) {
-          ExhaustiveHit hit;
-          for (size_t i : idx) hit.subset.push_back(pool[i]);
-          hit.eval = std::move(*eval);
-          best = std::move(hit);
+          best = ExhaustiveHit{subset, std::move(*eval), 0};
         }
       }
       // Next k-combination of pool indices.
@@ -173,8 +232,9 @@ std::optional<ExhaustiveHit> ExhaustiveSearch(const TransactionSet& txns,
   return best;
 }
 
-void FillPlanResult(PromotionPlan& plan, Evaluation&& eval) {
-  plan.promoted = std::move(eval.rewrite.promoted);
+void FillPlanResult(PromotionPlan& plan, Workspace& work,
+                    Evaluation&& eval) {
+  plan.promoted = work.Release();
   plan.after_allocation = std::move(eval.allocation);
   plan.after_cost = eval.cost;
   plan.improved = plan.after_cost.weighted < plan.before_cost.weighted;
@@ -190,8 +250,11 @@ StatusOr<PromotionPlan> OptimizePromotions(const TransactionSet& txns,
   if (options.max_promotions < 0) {
     return Status::InvalidArgument("max_promotions must be >= 0");
   }
+  StatusOr<PromotionRewrite> start = ApplyPromotions(txns, PromotionSet{});
+  if (!start.ok()) return start.status();
+  Workspace work(txns, std::move(*start), options.check.metrics);
   PromotionPlan plan;
-  StatusOr<Evaluation> base = Evaluate(txns, plan.promotions, options, plan);
+  StatusOr<Evaluation> base = Evaluate(work, plan.promotions, {}, options, plan);
   if (!base.ok()) return base.status();
   plan.before_allocation = base->allocation;
   plan.before_cost = base->cost;
@@ -205,7 +268,7 @@ StatusOr<PromotionPlan> OptimizePromotions(const TransactionSet& txns,
     }
     if (current.cost.weighted == 0) break;  // A_RC: nothing left to win.
     std::vector<OpRef> candidates = FrontierCandidates(
-        current.rewrite, current.allocation, plan.promotions, options, plan);
+        work, current.allocation, plan.promotions, options, plan);
     if (Cancelled(options)) {
       plan.cancelled = true;
       break;
@@ -217,11 +280,10 @@ StatusOr<PromotionPlan> OptimizePromotions(const TransactionSet& txns,
     std::optional<OpRef> best_read;
     std::optional<Evaluation> best_eval;
     size_t evaluated = 0;
-    for (OpRef candidate : candidates) {
+    for (const OpRef& candidate : candidates) {
       if (Cancelled(options)) break;
-      PromotionSet trial = plan.promotions;
-      trial.Add(candidate);
-      StatusOr<Evaluation> eval = Evaluate(txns, trial, options, plan);
+      StatusOr<Evaluation> eval =
+          Evaluate(work, plan.promotions, {&candidate, 1}, options, plan);
       ++evaluated;
       if (!eval.ok() || Cancelled(options)) continue;
       int64_t bar = best_eval.has_value() ? best_eval->cost.weighted
@@ -237,6 +299,8 @@ StatusOr<PromotionPlan> OptimizePromotions(const TransactionSet& txns,
     }
     if (!best_read.has_value()) break;  // Greedy stalled.
     plan.promotions.Add(*best_read);
+    Status committed = work.Set(plan.promotions, {&*best_read, 1}, true);
+    if (!committed.ok()) return committed;
     plan.rounds.push_back(
         PromotionRound{*best_read, best_eval->cost, evaluated});
     current = std::move(*best_eval);
@@ -255,7 +319,7 @@ StatusOr<PromotionPlan> OptimizePromotions(const TransactionSet& txns,
     std::erase_if(pool,
                   [&](OpRef r) { return plan.promotions.Contains(r); });
     std::optional<ExhaustiveHit> hit =
-        ExhaustiveSearch(txns, plan.promotions, pool, remaining,
+        ExhaustiveSearch(work, plan.promotions, pool, remaining,
                          current.cost, options, plan);
     if (Cancelled(options)) plan.cancelled = true;
     if (hit.has_value()) {
@@ -266,11 +330,13 @@ StatusOr<PromotionPlan> OptimizePromotions(const TransactionSet& txns,
             PromotionRound{read, hit->eval.cost, hit->evaluated});
         hit->evaluated = 0;  // Attribute the effort to the first round.
       }
+      Status committed = work.Set(plan.promotions, hit->subset, true);
+      if (!committed.ok()) return committed;
       current = std::move(hit->eval);
     }
   }
 
-  FillPlanResult(plan, std::move(current));
+  FillPlanResult(plan, work, std::move(current));
   return plan;
 }
 
@@ -282,17 +348,16 @@ StatusOr<PromotionPlan> PromoteForTarget(const TransactionSet& txns,
         StrCat("target allocation has ", target.size(), " levels for ",
                txns.size(), " transactions"));
   }
+  StatusOr<PromotionRewrite> start = ApplyPromotions(txns, PromotionSet{});
+  if (!start.ok()) return start.status();
+  Workspace work(txns, std::move(*start), options.check.metrics);
   PromotionPlan plan;
   plan.target_mode = true;
   plan.target = target;
   // Baseline and "before" framing: Algorithm 2 on the unpromoted workload.
-  OptimalAllocationResult base = Optimum(txns, options, plan);
+  OptimalAllocationResult base = Optimum(work.analyzer(), options, plan);
   plan.before_allocation = base.allocation;
   plan.before_cost = ComputeAllocationCost(base.allocation, options);
-
-  StatusOr<PromotionRewrite> rewrite = ApplyPromotions(txns, plan.promotions);
-  if (!rewrite.ok()) return rewrite.status();
-  PromotionRewrite current = std::move(*rewrite);
 
   while (true) {
     if (Cancelled(options)) {
@@ -302,8 +367,9 @@ StatusOr<PromotionPlan> PromoteForTarget(const TransactionSet& txns,
     CounterexampleList found;
     {
       PhaseTimer timer(options.check.metrics, "promote.frontier");
-      found = RobustnessAnalyzer(current.promoted, options.check.metrics)
-                  .FindAll(target, options.witnesses_per_round, options.check);
+      Probe(options);
+      found = work.analyzer().FindAll(target, options.witnesses_per_round,
+                                      options.check);
     }
     ++plan.robustness_checks;
     if (found.cancelled) {
@@ -327,8 +393,8 @@ StatusOr<PromotionPlan> PromoteForTarget(const TransactionSet& txns,
     // Greedy set cover: promote the read that kills the most witnesses.
     std::map<OpRef, size_t> hits;
     for (const CounterexampleChain& chain : chains) {
-      for (OpRef ref : CandidatesFromChain(current.promoted, chain)) {
-        std::optional<OpRef> base_ref = current.OriginalRef(ref);
+      for (OpRef ref : CandidatesFromChain(work.rewrite().promoted, chain)) {
+        std::optional<OpRef> base_ref = work.rewrite().OriginalRef(ref);
         if (base_ref.has_value() && !plan.promotions.Contains(*base_ref)) {
           ++hits[*base_ref];
         }
@@ -345,17 +411,16 @@ StatusOr<PromotionPlan> PromoteForTarget(const TransactionSet& txns,
       if (count > hits[best]) best = ref;
     }
     plan.promotions.Add(best);
-    StatusOr<PromotionRewrite> next = ApplyPromotions(txns, plan.promotions);
-    if (!next.ok()) return next.status();
-    current = std::move(*next);
+    Status committed = work.Set(plan.promotions, {&best, 1}, true);
+    if (!committed.ok()) return committed;
     plan.rounds.push_back(PromotionRound{
         best, ComputeAllocationCost(target, options), hits.size()});
   }
 
   // Report the promoted workload's own optimum as the "after" allocation —
   // it is never above the target when the target was met.
-  OptimalAllocationResult after = Optimum(current.promoted, options, plan);
-  plan.promoted = std::move(current.promoted);
+  OptimalAllocationResult after = Optimum(work.analyzer(), options, plan);
+  plan.promoted = work.Release();
   plan.after_allocation = std::move(after.allocation);
   plan.after_cost = ComputeAllocationCost(plan.after_allocation, options);
   plan.improved = plan.after_cost.weighted < plan.before_cost.weighted;

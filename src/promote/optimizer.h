@@ -2,6 +2,7 @@
 #define MVROB_PROMOTE_OPTIMIZER_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -37,6 +38,10 @@ struct PromoteOptions {
   /// SSI slot as expensive as two SI slots.
   int weight_si = 1;
   int weight_ssi = 2;
+  /// Called before each probe of the search: every Algorithm 2 run and
+  /// every witness enumeration. Null by default; raising check.cancel
+  /// from it stops the search at a chosen probe.
+  std::function<void()> on_probe;
 };
 
 /// Scalar cost of an allocation under the option weights, with the level
@@ -106,22 +111,28 @@ struct PromotionPlan {
 /// committed. When no single promotion improves, the exhaustive small-k
 /// fallback tries subsets of the accumulated candidate pool.
 ///
-/// The frontier runs on one RobustnessAnalyzer per round: each lowering
-/// probe is a delta FindAll against the (robust) current optimum. With
-/// options.check.metrics set, the probes are timed as the promote.frontier
-/// phase and the Algorithm 2 runs as promote.evaluate.
+/// The whole search runs on one RobustnessAnalyzer over a working copy of
+/// the workload with the committed promotions applied. Each lowering
+/// probe of the frontier is a delta FindAll against the (robust) current
+/// optimum; each candidate is scored by replacing its transaction with the
+/// promoted form (RobustnessAnalyzer::Replace), running Algorithm 2 on the
+/// same analyzer and replacing it back, so no candidate rewrites the
+/// workload or builds an analyzer. With options.check.metrics set, the
+/// probes are timed as the promote.frontier phase and the Algorithm 2
+/// runs as promote.evaluate.
 StatusOr<PromotionPlan> OptimizePromotions(const TransactionSet& txns,
                                            const PromoteOptions& options = {});
 
 /// Target mode: finds a small promotion set making `txns` robust under
 /// the fixed `target` allocation. Greedy set cover over the witnesses:
 /// each round gathers up to `witnesses_per_round` counterexample chains
-/// against `target` (a full FindAll on one RobustnessAnalyzer over the
-/// round's rewrite, timed as promote.frontier) and promotes the candidate
-/// read hitting the most chains. A cancelled enumeration ends the search
-/// with `cancelled` set and `target_met` false. Fails with FailedPrecondition if the budget is exhausted or a
-/// witness carries no promotable read leg (the workload cannot be made
-/// robust under `target` by read promotion alone).
+/// against `target` (a full FindAll, timed as promote.frontier, on the
+/// search's one RobustnessAnalyzer) and promotes the candidate read
+/// hitting the most chains, replacing its transaction in place. A
+/// cancelled enumeration ends the search with `cancelled` set and
+/// `target_met` false. Fails with FailedPrecondition if the budget is
+/// exhausted or a witness carries no promotable read leg (the workload
+/// cannot be made robust under `target` by read promotion alone).
 StatusOr<PromotionPlan> PromoteForTarget(const TransactionSet& txns,
                                          const Allocation& target,
                                          const PromoteOptions& options = {});

@@ -50,6 +50,27 @@ OpRef PromotionRewrite::PromotedRef(OpRef original_ref) const {
                from_original[original_ref.txn][original_ref.index]};
 }
 
+PromotedTransaction PromoteTransaction(const TransactionSet& txns, TxnId t,
+                                       const PromotionSet& promotions) {
+  const Transaction& txn = txns.txn(t);
+  PromotedTransaction promoted;
+  promoted.from_original.resize(txn.num_ops());
+  // Walk the read/write prefix (the commit is re-appended by Create).
+  for (int i = 0; i + 1 < txn.num_ops(); ++i) {
+    if (promotions.Contains(OpRef{t, i})) {
+      promoted.ops.push_back(Operation::Write(txn.op(i).object));
+      promoted.to_original.push_back(-1);
+    }
+    promoted.from_original[i] = static_cast<int32_t>(promoted.ops.size());
+    promoted.ops.push_back(txn.op(i));
+    promoted.to_original.push_back(i);
+  }
+  promoted.from_original[txn.commit_index()] =
+      static_cast<int32_t>(promoted.ops.size());
+  promoted.to_original.push_back(txn.commit_index());
+  return promoted;
+}
+
 StatusOr<PromotionRewrite> ApplyPromotions(const TransactionSet& txns,
                                            const PromotionSet& promotions) {
   for (OpRef ref : promotions.reads()) {
@@ -66,25 +87,11 @@ StatusOr<PromotionRewrite> ApplyPromotions(const TransactionSet& txns,
   rewrite.to_original.resize(txns.size());
   rewrite.from_original.resize(txns.size());
   for (TxnId t = 0; t < txns.size(); ++t) {
-    const Transaction& txn = txns.txn(t);
-    std::vector<Operation> ops;
-    std::vector<int32_t>& to_base = rewrite.to_original[t];
-    std::vector<int32_t>& from_base = rewrite.from_original[t];
-    from_base.resize(txn.num_ops());
-    // Walk the read/write prefix (the commit is re-appended by Create).
-    for (int i = 0; i + 1 < txn.num_ops(); ++i) {
-      if (promotions.Contains(OpRef{t, i})) {
-        ops.push_back(Operation::Write(txn.op(i).object));
-        to_base.push_back(-1);
-      }
-      from_base[i] = static_cast<int32_t>(ops.size());
-      ops.push_back(txn.op(i));
-      to_base.push_back(i);
-    }
-    from_base[txn.commit_index()] = static_cast<int32_t>(ops.size());
-    to_base.push_back(txn.commit_index());
-    StatusOr<TxnId> added =
-        rewrite.promoted.AddTransaction(txn.name(), std::move(ops));
+    PromotedTransaction promoted = PromoteTransaction(txns, t, promotions);
+    rewrite.to_original[t] = std::move(promoted.to_original);
+    rewrite.from_original[t] = std::move(promoted.from_original);
+    StatusOr<TxnId> added = rewrite.promoted.AddTransaction(
+        txns.txn(t).name(), std::move(promoted.ops));
     if (!added.ok()) return added.status();
   }
   return rewrite;

@@ -68,6 +68,17 @@ struct PromotionRewrite {
   OpRef PromotedRef(OpRef original_ref) const;
 };
 
+/// Transaction `t` of `txns` with its reads in `promotions` promoted (the
+/// refs of other transactions are ignored; the caller validates them):
+/// the read/write operations, and t's rows of PromotionRewrite's maps.
+struct PromotedTransaction {
+  std::vector<Operation> ops;
+  std::vector<int32_t> to_original;
+  std::vector<int32_t> from_original;
+};
+PromotedTransaction PromoteTransaction(const TransactionSet& txns, TxnId t,
+                                       const PromotionSet& promotions);
+
 /// Rewrites `txns` with every read of `promotions` promoted: a write on
 /// the read's object is inserted directly before it. Object interning and
 /// transaction order/names are preserved, so TxnIds and ObjectIds mean

@@ -39,6 +39,18 @@ StatusOr<TxnId> TransactionSet::AddTransaction(std::string name,
   return id;
 }
 
+Status TransactionSet::ReplaceTransaction(TxnId id,
+                                          std::vector<Operation> rw_ops) {
+  if (id >= txns_.size()) {
+    return Status::InvalidArgument(StrCat("no transaction with id ", id));
+  }
+  StatusOr<Transaction> txn =
+      Transaction::Create(id, txns_[id].name(), std::move(rw_ops));
+  if (!txn.ok()) return txn.status();
+  txns_[id] = std::move(txn).value();
+  return Status::Ok();
+}
+
 TxnId TransactionSet::FindTransaction(std::string_view name) const {
   auto it = txn_ids_.find(std::string(name));
   return it == txn_ids_.end() ? kInvalidTxnId : it->second;

@@ -34,6 +34,11 @@ class TransactionSet {
   StatusOr<TxnId> AddTransaction(std::string name,
                                  std::vector<Operation> rw_ops);
 
+  /// Replaces transaction `id`'s operations with `rw_ops`, keeping its id
+  /// and name; validated (and the commit appended) as in AddTransaction.
+  /// On failure the set is unchanged.
+  Status ReplaceTransaction(TxnId id, std::vector<Operation> rw_ops);
+
   size_t size() const { return txns_.size(); }
   bool empty() const { return txns_.empty(); }
   const Transaction& txn(TxnId id) const { return txns_[id]; }

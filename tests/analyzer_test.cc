@@ -11,23 +11,30 @@
 //    with at most 24 transactions,
 // over the delta-check corpus, the paper examples, the named workloads and
 // the template worlds, plus a pivot whose graph has more than 64
-// components.
+// components. AnalyzerReplaceTest holds an analyzer changed by random
+// sequences of Replace, each after warm checks, to one built from scratch
+// over the same set: tables, pair entries, RC rows, Reachable, the bytes
+// of the caches kept, and the results of Check, CheckDelta and FindAll.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/rng.h"
 #include "common/string_util.h"
 #include "core/analyzer.h"
 #include "core/conflict.h"
+#include "core/optimal_allocation.h"
 #include "fixtures.h"
 #include "templates/instantiate.h"
 #include "templates/library.h"
 #include "txn/parser.h"
 #include "workloads/registry.h"
+#include "workloads/synthetic.h"
 
 namespace mvrob {
 
@@ -62,6 +69,23 @@ class RobustnessAnalyzerPeer {
   }
   uint32_t PivotWords(TxnId t1) const {
     return analyzer_.PivotFor(t1).words;
+  }
+  // Heap words the pivot and RC caches hold now, counted from the caches.
+  uint64_t PivotCacheBytes() const {
+    uint64_t bytes = 0;
+    for (const auto& cache : analyzer_.pivot_cache_) {
+      bytes += cache.masks.size() * sizeof(uint64_t);
+    }
+    return bytes;
+  }
+  uint64_t RcCacheBytes() const {
+    uint64_t bytes = 0;
+    for (const auto& slots : analyzer_.rc_cache_) {
+      for (const auto& [k, mask] : slots) {
+        bytes += mask.num_words() * sizeof(uint64_t);
+      }
+    }
+    return bytes;
   }
 
  private:
@@ -359,6 +383,251 @@ TEST(AnalyzerLayoutTest, BytesGaugesReportTables) {
             static_cast<int64_t>(scanned.pivot_caches));
   EXPECT_EQ(registry.gauge("analyzer.bytes{table=rc_caches}").value(),
             static_cast<int64_t>(scanned.rc_caches));
+}
+
+// ---------------------------------------------------------------------------
+// Replace against a fresh build.
+// ---------------------------------------------------------------------------
+
+::testing::AssertionResult SameChain(const CounterexampleChain& want,
+                                     const CounterexampleChain& got) {
+  if (want.t1 == got.t1 && want.t2 == got.t2 && want.tm == got.tm &&
+      want.b1 == got.b1 && want.a1 == got.a1 && want.a2 == got.a2 &&
+      want.bm == got.bm && want.inner == got.inner) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "chain (" << want.t1 << ", " << want.t2 << ", " << want.tm
+         << ") differs from (" << got.t1 << ", " << got.t2 << ", " << got.tm
+         << ")";
+}
+
+void ExpectSameResult(const RobustnessResult& want,
+                      const RobustnessResult& got) {
+  ASSERT_EQ(want.robust, got.robust);
+  ASSERT_EQ(want.cancelled, got.cancelled);
+  ASSERT_EQ(want.triples_examined, got.triples_examined);
+  ASSERT_EQ(want.counterexample.has_value(), got.counterexample.has_value());
+  if (want.counterexample.has_value()) {
+    ASSERT_TRUE(SameChain(*want.counterexample, *got.counterexample));
+  }
+}
+
+void ExpectSameList(const CounterexampleList& want,
+                    const CounterexampleList& got) {
+  ASSERT_EQ(want.cancelled, got.cancelled);
+  ASSERT_EQ(want.chains.size(), got.chains.size());
+  for (size_t i = 0; i < want.chains.size(); ++i) {
+    ASSERT_TRUE(SameChain(want.chains[i], got.chains[i])) << "witness " << i;
+  }
+}
+
+Allocation RandomAllocation(size_t n, Rng& rng) {
+  Allocation alloc = Allocation::AllRC(n);
+  for (TxnId t = 0; t < n; ++t) {
+    alloc.set_level(t, static_cast<IsolationLevel>(rng.Index(3)));
+  }
+  return alloc;
+}
+
+// Fills the caches the way the allocators do: a full check and Algorithm 2.
+void Warm(const RobustnessAnalyzer& analyzer, Rng& rng) {
+  analyzer.Check(RandomAllocation(analyzer.txns().size(), rng));
+  ComputeOptimalAllocation(analyzer);
+}
+
+// `replaced` answers exactly like an analyzer built from scratch over the
+// same (changed) set.
+void CompareWithFreshBuild(const RobustnessAnalyzer& replaced, Rng& rng) {
+  const TransactionSet& txns = replaced.txns();
+  const size_t n = txns.size();
+  const RobustnessAnalyzer fresh(txns);
+  const RobustnessAnalyzerPeer want(fresh);
+  const RobustnessAnalyzerPeer got(replaced);
+  ASSERT_TRUE(SameRows("conflict", want.conflict(), got.conflict()));
+  ASSERT_TRUE(SameRows("rw", want.rw(), got.rw()));
+  ASSERT_TRUE(SameRows("rw_into", want.rw_into(), got.rw_into()));
+  ASSERT_TRUE(SameRows("ww_never", want.ww_never(), got.ww_never()));
+  ASSERT_TRUE(
+      SameRows("rw_before_ww", want.rw_before_ww(), got.rw_before_ww()));
+  ASSERT_TRUE(
+      SameRows("si_candidates", want.si_candidates(), got.si_candidates()));
+  for (TxnId t1 = 0; t1 < n; ++t1) {
+    std::vector<TxnId> row;
+    want.conflict().row(t1).ForEachSetBit(
+        [&](size_t j) { row.push_back(static_cast<TxnId>(j)); });
+    for (TxnId j : row) {
+      SCOPED_TRACE(StrCat("pair (", t1, ", ", j, ")"));
+      ASSERT_EQ(got.first_ww(t1, j), want.first_ww(t1, j));
+      ASSERT_EQ(got.first_rw(t1, j), want.first_rw(t1, j));
+      ASSERT_EQ(got.last_conflict(t1, j), want.last_conflict(t1, j));
+      if (want.rw().Test(t1, j)) {
+        const int k = want.first_rw(t1, j);
+        const ConstBitSpan a = want.RcCandidates(t1, k);
+        const ConstBitSpan b = got.RcCandidates(t1, k);
+        for (size_t w = 0; w < a.num_words(); ++w) {
+          ASSERT_EQ(a.word(w), b.word(w)) << "RC row of t1=" << t1
+                                          << " k=" << k << " word " << w;
+        }
+      }
+    }
+    for (TxnId t2 : row) {
+      for (TxnId tm : row) {
+        ASSERT_EQ(got.Reachable(t1, t2, tm), want.Reachable(t1, t2, tm))
+            << "triple (" << t1 << ", " << t2 << ", " << tm << ")";
+      }
+    }
+  }
+
+  // The results of every entry point, on allocations above and at the
+  // optimum.
+  for (const Allocation& alloc :
+       {RandomAllocation(n, rng), Allocation::AllRC(n), Allocation::AllSI(n)}) {
+    ExpectSameResult(fresh.Check(alloc), replaced.Check(alloc));
+    ExpectSameList(fresh.FindAll(alloc, 6), replaced.FindAll(alloc, 6));
+  }
+  const Allocation optimum = ComputeOptimalAllocation(fresh).allocation;
+  ASSERT_EQ(ComputeOptimalAllocation(replaced).allocation, optimum);
+  DeltaBase want_base(optimum);
+  DeltaBase got_base(optimum);
+  for (int probe = 0; probe < 4; ++probe) {
+    std::vector<LevelChange> changes;
+    for (int c = 0; c < 1 + probe / 2; ++c) {
+      const auto t = static_cast<TxnId>(rng.Index(n));
+      if (std::any_of(changes.begin(), changes.end(),
+                      [&](const LevelChange& x) { return x.txn == t; })) {
+        continue;
+      }
+      changes.push_back(
+          LevelChange{t, static_cast<IsolationLevel>(rng.Index(3))});
+    }
+    ExpectSameResult(fresh.CheckDelta(want_base, changes),
+                     replaced.CheckDelta(got_base, changes));
+    ExpectSameList(fresh.FindAll(want_base, changes, 6),
+                   replaced.FindAll(got_base, changes, 6));
+  }
+
+  // The tables match, and the caches' bytes are what the caches hold.
+  const RobustnessAnalyzer::Bytes a = fresh.bytes();
+  const RobustnessAnalyzer::Bytes b = replaced.bytes();
+  EXPECT_EQ(a.relations, b.relations);
+  EXPECT_EQ(a.pair_rank, b.pair_rank);
+  EXPECT_EQ(a.pair_entries, b.pair_entries);
+  EXPECT_EQ(a.object_index, b.object_index);
+  EXPECT_EQ(b.pivot_caches, got.PivotCacheBytes());
+  EXPECT_EQ(b.rc_caches, got.RcCacheBytes());
+}
+
+// New operations for transaction t: its own in another order (kind 0:
+// same accesses, so its conflict row stays), a promotion-style write
+// inserted before one of its reads (kind 1), or random operations that
+// may touch an object no transaction had accessed.
+std::vector<Operation> NextOps(TransactionSet& txns, TxnId t, int kind,
+                               Rng& rng) {
+  const std::vector<Operation>& current = txns.txn(t).ops();
+  std::vector<Operation> ops(current.begin(), current.end() - 1);
+  switch (kind) {
+    case 0:
+      for (size_t i = ops.size(); i > 1; --i) {
+        std::swap(ops[i - 1], ops[rng.Index(i)]);
+      }
+      return ops;
+    case 1:
+      for (size_t i = 0; i < ops.size(); ++i) {
+        if (ops[i].IsRead() && !txns.txn(t).Writes(ops[i].object)) {
+          ops.insert(ops.begin() + static_cast<std::ptrdiff_t>(i),
+                     Operation::Write(ops[i].object));
+          return ops;
+        }
+      }
+      [[fallthrough]];
+    default: {
+      ops.clear();
+      const size_t count = 1 + rng.Index(5);
+      const size_t objects = txns.num_objects();
+      for (size_t i = 0; i < count; ++i) {
+        ObjectId o = static_cast<ObjectId>(rng.Index(objects));
+        if (rng.Index(12) == 0) {
+          o = txns.InternObject(StrCat("fresh", objects));
+        }
+        ops.push_back(rng.Bernoulli(0.45) ? Operation::Write(o)
+                                          : Operation::Read(o));
+      }
+      return ops;
+    }
+  }
+}
+
+TEST(AnalyzerReplaceTest, RandomReplacementsMatchFreshBuild) {
+  uint64_t rows_kept = 0;
+  uint64_t rows_changed = 0;
+  uint64_t multi_word = 0;
+  for (uint64_t seed = 0; seed < 24; ++seed) {
+    SCOPED_TRACE(StrCat("seed ", seed));
+    SyntheticParams params;
+    params.num_txns = 8 + static_cast<int>(seed * 37 % 123);
+    params.num_objects = std::max(4, params.num_txns / 2);
+    params.min_ops = 1;
+    params.max_ops = 5;
+    params.write_fraction = 0.4;
+    params.hotspot_fraction = 0.3;
+    params.num_hotspots = 3;
+    params.at_most_one_access = seed % 2 == 0;
+    params.seed = seed * 7919 + 11;
+    TransactionSet txns = GenerateSynthetic(params);
+    RobustnessAnalyzer analyzer(txns);
+    if (txns.size() > 64) ++multi_word;
+    Rng rng(seed);
+    TxnId last_t = 0;
+    std::vector<Operation> last_ops;  // last_t's operations before its step.
+    for (int step = 0; step < 8; ++step) {
+      SCOPED_TRACE(StrCat("step ", step));
+      Warm(analyzer, rng);
+      // Kind 2 undoes the step before, as the promotion search puts a
+      // scored candidate back: a promotion undone removes a write.
+      const int kind = step % 4;
+      const TxnId t = kind == 2 ? last_t
+                                : static_cast<TxnId>(rng.Index(txns.size()));
+      std::vector<Operation> ops =
+          kind == 2 ? last_ops : NextOps(txns, t, kind, rng);
+      const std::vector<Operation>& current = txns.txn(t).ops();
+      last_t = t;
+      last_ops.assign(current.begin(), current.end() - 1);
+      const RobustnessAnalyzerPeer peer(analyzer);
+      DenseBitset before(txns.size());
+      before.CopyFrom(peer.conflict().row(t));
+      ASSERT_TRUE(analyzer.Replace(t, ops).ok());
+      ASSERT_EQ(txns.txn(t).num_ops(), static_cast<int>(ops.size()) + 1);
+      bool kept = true;
+      for (size_t w = 0; w < before.num_words(); ++w) {
+        kept &= before.span().word(w) == peer.conflict().row(t).word(w);
+      }
+      ++(kept ? rows_kept : rows_changed);
+      CompareWithFreshBuild(analyzer, rng);
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GT(rows_kept, 0u);
+  EXPECT_GT(rows_changed, 0u);
+  EXPECT_GT(multi_word, 0u);
+}
+
+TEST(AnalyzerReplaceTest, RejectsConstSetsAndInvalidOperations) {
+  TransactionSet txns = Figure2Txns();
+  const TransactionSet& fixed = txns;
+  RobustnessAnalyzer read_only(fixed);
+  EXPECT_EQ(read_only.Replace(0, {Operation::Read(0)}).code(),
+            StatusCode::kFailedPrecondition);
+
+  RobustnessAnalyzer analyzer(txns);
+  const std::string listing = txns.ToString();
+  EXPECT_FALSE(analyzer.Replace(0, {Operation::Commit()}).ok());
+  EXPECT_FALSE(analyzer.Replace(static_cast<TxnId>(txns.size()),
+                                {Operation::Read(0)})
+                   .ok());
+  EXPECT_EQ(txns.ToString(), listing);
+  Rng rng(1);
+  CompareWithFreshBuild(analyzer, rng);
 }
 
 }  // namespace

@@ -603,10 +603,10 @@ cmake -B build-tsan -S . -DMVROB_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"$JOBS" --target \
   common_test parallel_differential_test concurrent_engine_test profiler_test \
   delta_check_test find_all_test mvcc_test cli_test metrics_test \
-  templates_test template_predicate_test
+  templates_test template_predicate_test promotion_reference_test
 MVROB_POOL_WORKERS=3 TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir build-tsan --output-on-failure -j"$JOBS" \
-  -R 'ThreadPool|ParallelDifferential|ParallelAllocation|IncrementalParallel|Concurrent|DeltaCheck|FindAll|RunWorkload|RcSiComposesWithBounds|BoundedAllocate|Template|CliTemplateGolden'
+  -R 'ThreadPool|ParallelDifferential|ParallelAllocation|IncrementalParallel|Concurrent|DeltaCheck|FindAll|RunWorkload|RcSiComposesWithBounds|BoundedAllocate|Template|CliTemplateGolden|PromotionReference'
 
 echo "==== ASan build (MVROB_SANITIZE=address) ===="
 cmake -B build-asan -S . -DMVROB_SANITIZE=address >/dev/null
@@ -614,7 +614,7 @@ cmake --build build-asan -j"$JOBS" --target \
   common_test parallel_differential_test core_test analyzer_test \
   delta_check_test find_all_test mvcc_test concurrent_engine_test cli_test \
   metrics_test templates_test template_predicate_test split_schedule_test \
-  witness_test promotion_test crash_test
+  witness_test promotion_test promotion_reference_test crash_test
 # Serve runs RunCli on threads that own an ASan alternate signal stack;
 # Crash covers the recorder keeping it.
 MVROB_POOL_WORKERS=3 \
